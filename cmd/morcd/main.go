@@ -102,7 +102,7 @@ func main() {
 	}
 
 	srv := server.New(server.Config{Workers: *workers, QueueDepth: *queue, Logger: logger})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -136,6 +136,27 @@ func main() {
 	fmt.Fprintln(os.Stderr, "morcd: all jobs drained")
 }
 
+// Connection timeouts for both serving modes. A client must finish its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no
+// ReadTimeout or WriteTimeout: SSE /events streams and the streams a
+// coordinator proxies from its peers stay open for a whole job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server both the peer and the coordinator
+// serve on.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runCoordinator serves the cluster coordinator until SIGINT/SIGTERM.
 func runCoordinator(logger *slog.Logger, addr, peerList string, drain time.Duration) {
 	var peers []string
@@ -145,7 +166,7 @@ func runCoordinator(logger *slog.Logger, addr, peerList string, drain time.Durat
 		}
 	}
 	coord := cluster.New(cluster.Config{Peers: peers, Logger: logger})
-	httpSrv := &http.Server{Addr: addr, Handler: coord.Handler()}
+	httpSrv := newHTTPServer(addr, coord.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

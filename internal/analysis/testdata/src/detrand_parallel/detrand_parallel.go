@@ -1,8 +1,8 @@
-// Package detrand_parallel is a morclint fixture: the worker-pool
-// idioms the deterministic parallel simulation engine relies on — and
-// the violations the pass must still catch when they appear inside
-// them. The engine's determinism rests on merging per-worker streams by
-// explicit keys, never on scheduling or iteration order.
+// Package detrand_parallel is a morclint fixture: worker-pool idioms
+// (channels, WaitGroups, keyed merges of per-worker streams) and the
+// violations the pass must still catch when they appear inside them.
+// Deterministic fan-out merges per-worker streams by explicit keys,
+// never by scheduling or iteration order.
 package detrand_parallel
 
 import (
@@ -22,7 +22,7 @@ type track struct {
 
 // coordinator drains worker-produced segments from a channel. The
 // receive order is scheduling-dependent, but every segment carries its
-// core id and the merge below orders by (key, id), so channel handoff
+// producer id and the merge below orders by (key, id), so channel handoff
 // itself is deterministic-safe: no diagnostic.
 func coordinator(repq chan *track, tracks []*track) {
 	for t := range repq {
@@ -52,9 +52,9 @@ func merge(tracks []*track) []rec {
 	}
 }
 
-// mergeProbes aggregates per-bank gauge maps the way cache.Banked does:
-// accumulation keyed by the loop variable commutes across iteration
-// orders, so none of these writes is flagged.
+// mergeProbes averages per-shard gauge maps: accumulation keyed by the
+// loop variable commutes across iteration orders, so none of these
+// writes is flagged.
 func mergeProbes(banks []map[string]float64) map[string]float64 {
 	sums := make(map[string]float64)
 	counts := make(map[string]int)

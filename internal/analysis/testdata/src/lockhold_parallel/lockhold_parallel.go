@@ -1,13 +1,15 @@
 // Package lockhold_parallel is a morclint fixture: the locking idioms
-// of the banked LLC and the parallel engine's worker pool. Per-bank
-// mutexes guard only the delegated bank operation; every channel
-// handoff and barrier wait must happen outside the critical section.
+// of a sharded structure and a worker pool (channels, WaitGroups,
+// per-instance mutexes), as the server and cluster layers use them.
+// Per-shard mutexes guard only the delegated shard operation; every
+// channel handoff and barrier wait must happen outside the critical
+// section.
 package lockhold_parallel
 
 import "sync"
 
-// banked mirrors cache.Banked: one mutex per bank, held across nothing
-// but the bank's own in-memory operation.
+// banked is a sharded map: one mutex per bank, held across nothing but
+// the bank's own in-memory operation.
 type banked struct {
 	mus   []sync.Mutex
 	banks []map[uint64][]byte
@@ -25,8 +27,8 @@ func (b *banked) fill(i int, addr uint64, data []byte) {
 	b.mus[i].Unlock()
 }
 
-// engine mirrors the coordinator: dispatch and completion ride on
-// channels, and a WaitGroup joins the workers at shutdown.
+// engine is a worker pool: dispatch and completion ride on channels,
+// and a WaitGroup joins the workers at shutdown.
 type engine struct {
 	mu   sync.Mutex
 	runq chan int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,6 +96,87 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	wb, _ := json.Marshal(want)
 	if string(gb) != string(wb) {
 		t.Errorf("RunSingleCtx != RunSingle:\n%s\n%s", gb, wb)
+	}
+}
+
+// TestRunPanicsOnRunCtxError covers sim.Run's panic path: Run promises
+// an infallible signature and must panic loudly when RunCtx fails. An
+// invalid SamplingConfig is rejected before any core runs.
+func TestRunPanicsOnRunCtxError(t *testing.T) {
+	cfg := quickCfg(Uncompressed)
+	cfg.Sampling = SamplingConfig{IntervalInstr: 50_000, MaxClusters: -1}
+	s, err := NewSingle("gcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run did not panic on RunCtx error")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "MaxClusters") {
+			t.Fatalf("panic value %v, want message naming MaxClusters", r)
+		}
+	}()
+	s.Run()
+}
+
+// TestClampProgress unit-tests the overshoot clamp: cores can overshoot
+// their per-core target by one access's instruction count, and the
+// callback must never exceed the total.
+func TestClampProgress(t *testing.T) {
+	cases := []struct{ instr, total, want uint64 }{
+		{0, 100, 0},
+		{99, 100, 99},
+		{100, 100, 100},
+		{101, 100, 100}, // the overshoot case
+		{^uint64(0), 100, 100},
+	}
+	for _, c := range cases {
+		if got := clampProgress(c.instr, c.total); got != c.want {
+			t.Errorf("clampProgress(%d, %d) = %d, want %d", c.instr, c.total, got, c.want)
+		}
+	}
+}
+
+// TestOnProgressContract asserts the behavioral consequences of the
+// clamp on a real run: progress is nondecreasing, never exceeds the
+// total, and lands exactly on (total, total).
+func TestOnProgressContract(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scheme = MORC
+	cfg.WarmupInstr = 30_000
+	cfg.MeasureInstr = 60_000
+	cfg.SampleEvery = 20_000
+	s, err := NewSingle("gcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events [][2]uint64
+	s.OnProgress = func(done, total uint64) {
+		events = append(events, [2]uint64{done, total})
+	}
+	s.Run()
+	total := cfg.WarmupInstr + cfg.MeasureInstr
+	if len(events) == 0 {
+		t.Fatal("no progress events")
+	}
+	var prev uint64
+	for i, ev := range events {
+		if ev[1] != total {
+			t.Fatalf("event %d: total = %d, want %d", i, ev[1], total)
+		}
+		if ev[0] > total {
+			t.Fatalf("event %d: done %d exceeds total %d (clamp failed)", i, ev[0], total)
+		}
+		if ev[0] < prev {
+			t.Fatalf("event %d: done %d went backwards from %d", i, ev[0], prev)
+		}
+		prev = ev[0]
+	}
+	if last := events[len(events)-1]; last[0] != total {
+		t.Fatalf("final progress %d, want exactly %d", last[0], total)
 	}
 }
 

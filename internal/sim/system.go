@@ -147,7 +147,7 @@ func New(cfg Config, programs []trace.Profile) *System {
 	}
 	s := &System{
 		cfg: cfg,
-		llc: cfg.newLLC(),
+		llc: cfg.NewLLC(),
 		memctl: mem.NewController(mem.Config{
 			ClockHz:              cfg.ClockHz,
 			BandwidthBytesPerSec: cfg.BWPerCore * float64(cfg.Cores),
@@ -184,10 +184,9 @@ func (s *System) step(c *coreState) {
 
 // stepAccess executes the core-private half of one access: the trace
 // generator, the per-core clocks, and the private L1 (including store-hit
-// mutation). It touches no cross-core state, which is what lets the
-// parallel engine run it on a worker without coordination. On an L1 miss
-// it returns the access for serviceMiss to complete; the core is then
-// mid-access (clocks advanced, L1 untouched) until serviceMiss runs.
+// mutation). It touches no cross-core state. On an L1 miss it returns the
+// access for serviceMiss to complete; the core is then mid-access (clocks
+// advanced, L1 untouched) until serviceMiss runs.
 func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 	a = c.gen.Next()
 	c.now += uint64(a.NonMem) + 1
@@ -213,8 +212,7 @@ func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 // serviceMiss completes an L1 miss begun by stepAccess: the LLC lookup,
 // memory access, fills, and the core's stall accounting. Everything that
 // reads or writes cross-core state (the shared LLC, the memory
-// controller's bandwidth queues) happens here, so the parallel engine
-// applies these in the sequential engine's canonical order.
+// controller's bandwidth queues) happens here.
 func (s *System) serviceMiss(c *coreState, a trace.Access) {
 	if a.Kind == trace.Load {
 		data, lat := s.llcAccess(c, a.Addr, false)
@@ -358,17 +356,6 @@ func (s *System) run(ctx context.Context) error {
 	}
 }
 
-// runPhase advances all cores to their current targets on the configured
-// engine: the sequential reference loop for Parallelism ≤ 1, the
-// deterministic parallel engine otherwise. Both produce byte-identical
-// System state, results, and callback sequences (see DESIGN.md).
-func (s *System) runPhase(ctx context.Context) error {
-	if s.cfg.Parallelism > 1 {
-		return s.runParallel(ctx)
-	}
-	return s.run(ctx)
-}
-
 // totalTarget is the whole run's instruction count across all cores:
 // warmup plus measurement, the denominator for progress reporting.
 func (s *System) totalTarget() uint64 {
@@ -378,8 +365,7 @@ func (s *System) totalTarget() uint64 {
 // clampProgress bounds a progress numerator to its total: cores may
 // overshoot their per-core target by one access's instruction count, and
 // progress must never exceed (and later have to back off from) the
-// total. Both engines report through this, so their callback sequences
-// agree bit for bit.
+// total.
 func clampProgress(instr, total uint64) uint64 {
 	if instr > total {
 		return total
@@ -391,9 +377,10 @@ func clampProgress(instr, total uint64) uint64 {
 func (s *System) Run() Result {
 	res, err := s.RunCtx(context.Background())
 	if err != nil {
-		// Background contexts never cancel; keep the historical
-		// infallible signature for the experiment suite.
-		panic("sim: Run cancelled: " + err.Error())
+		// Background contexts never cancel, so the only error left is
+		// an invalid SamplingConfig; keep the historical infallible
+		// signature for the experiment suite.
+		panic("sim: Run: " + err.Error())
 	}
 	return res
 }
@@ -404,9 +391,6 @@ func (s *System) Run() Result {
 // the System's counters stay internally consistent (each core simply
 // halts short of its target) but the run cannot be resumed.
 func (s *System) RunCtx(ctx context.Context) (Result, error) {
-	if s.cfg.Parallelism < 0 {
-		return Result{}, fmt.Errorf("sim: negative Parallelism %d", s.cfg.Parallelism)
-	}
 	if s.cfg.Sampling.Enabled() {
 		if err := s.cfg.Sampling.Validate(); err != nil {
 			return Result{}, err
@@ -426,7 +410,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	for _, c := range s.cores {
 		c.target = s.cfg.WarmupInstr
 	}
-	if err := s.runPhase(ctx); err != nil {
+	if err := s.run(ctx); err != nil {
 		return Result{}, err
 	}
 	s.beginMeasurement()
@@ -438,7 +422,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 		s.tel = telemetry.NewRecorder(s.cfg.Telemetry, s.cfg.Scheme.String(), s.OnEpoch)
 		s.tel.Begin(s.telemetrySample(0))
 	}
-	if err := s.runPhase(ctx); err != nil {
+	if err := s.run(ctx); err != nil {
 		return Result{}, err
 	}
 	ratio := s.llc.Ratio()
