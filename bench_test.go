@@ -470,14 +470,6 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	}
 	_, _ = cloned, simRes
 
-	// The funnel must stay a single allocation: that is the whole point
-	// of routing every ownership-transfer copy through it.
-	for _, l := range legs {
-		if l.ran && l.name == "cache/clone-line" && l.allocs != 1 {
-			b.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", l.allocs)
-		}
-	}
-
 	for _, l := range legs {
 		if !l.ran {
 			return // a -bench filter split the legs; keep the committed file
@@ -493,7 +485,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			Note:        l.note,
 		})
 	}
-	rep.Note = "go test -bench BenchmarkHotPathAllocs -benchtime 100x: allocation baselines for the paths the morclint hotalloc pass guards. allocs_per_op is exact (testing.AllocsPerRun); the per-unit metric divides by the operations one call performs. The SSE frame encoder is benchmarked in internal/server (BenchmarkWriteEvent) against a hard <=4 allocs/frame bound."
+	rep.Note = "go test -bench BenchmarkHotPathAllocs -benchtime 100x: allocation baselines for the paths the morclint hotalloc pass guards. allocs_per_op is exact (testing.AllocsPerRun); the per-unit metric divides by the operations one call performs. The hard bounds are plain tests: CloneLine == 1 (internal/cache), a warm LBE trial Append == 0 (internal/compress/lbe), Fill <= 8 per fill (internal/core), and the SSE frame encoder <= 4 per frame (internal/server)."
 	if err := rep.WriteFile("BENCH_alloc.json"); err != nil {
 		b.Fatal(err)
 	}

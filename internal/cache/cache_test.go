@@ -240,3 +240,16 @@ func TestNoPhantomHitsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloneLineAllocs pins the ownership-transfer funnel at a single
+// allocation per copy: that is the whole point of routing every
+// fill-path line copy through it.
+func TestCloneLineAllocs(t *testing.T) {
+	line := lineOf(7)
+	var cloned []byte
+	allocs := testing.AllocsPerRun(100, func() { cloned = CloneLine(line) })
+	if allocs != 1 {
+		t.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", allocs)
+	}
+	_ = cloned
+}

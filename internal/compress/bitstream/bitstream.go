@@ -61,13 +61,6 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// Clone returns an independent copy of the writer's current state. The
-// MORC compressor uses this for trial compression: a line is test-appended
-// to every active log and only the winning log commits.
-func (w *Writer) Clone() *Writer {
-	return &Writer{buf: append([]byte(nil), w.buf...), nbit: w.nbit}
-}
-
 // Truncate discards bits beyond n. n must not exceed Len.
 func (w *Writer) Truncate(n int) {
 	if n < 0 || n > w.nbit {

@@ -58,25 +58,6 @@ func TestLenAndByteLen(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xAA, 8)
-	c := w.Clone()
-	c.WriteBits(0xFF, 8)
-	if w.Len() != 8 {
-		t.Fatal("clone write affected original length")
-	}
-	w.WriteBits(0x55, 8)
-	r := NewReader(w.Bytes(), w.Len())
-	if v, _ := r.ReadBits(16); v != 0xAA55 {
-		t.Fatalf("original corrupted: %x", v)
-	}
-	rc := NewReader(c.Bytes(), c.Len())
-	if v, _ := rc.ReadBits(16); v != 0xAAFF {
-		t.Fatalf("clone corrupted: %x", v)
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0xFFFF, 16)

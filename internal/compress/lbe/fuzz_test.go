@@ -31,10 +31,12 @@ func padBlocks(data []byte) [][]byte {
 }
 
 // FuzzRoundTrip appends the fuzzed blocks through two encoders — one
-// that runs a dropped trial Append before each commit, one that never
-// trials — and asserts the committed streams are identical (trial state
-// must not leak), the stream decodes back to the exact input from the
-// start, and bit accounting matches what each commit reported.
+// that runs dropped trial Appends (of the block itself and of a
+// distractor) before each commit, one that never trials — and asserts
+// the committed streams are identical (trial state must not leak, even
+// when a dropped trial filled the dictionaries), the stream decodes back
+// to the exact input from the start, and bit accounting matches what
+// each commit reported.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
@@ -51,10 +53,14 @@ func FuzzRoundTrip(f *testing.F) {
 		total := 0
 		for _, b := range blocks {
 			// Trial-and-drop, like MORC's multi-log insertion decision.
+			dropped := trialed.Append(b)
 			if p := trialed.Append(distractor); p.Bits() <= 0 {
 				t.Fatal("trial append sized to 0 bits")
 			}
 			p := trialed.Append(b)
+			if p.Bits() != dropped.Bits() {
+				t.Fatalf("same block trialed as %d bits, then %d after a rollback", dropped.Bits(), p.Bits())
+			}
 			trialed.Commit(p)
 			n := plain.AppendCommit(b)
 			if n != p.Bits() {

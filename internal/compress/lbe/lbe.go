@@ -24,9 +24,16 @@
 // dictionary) and the granularity's dictionary is not yet full.
 // Dictionaries freeze when full, exactly like C-Pack's.
 //
+// Each granularity's dictionary is one fixed table that the Encoder and
+// Decoder build the same way: entries stored back to back, found through
+// an open-addressing index.
+//
 // The Encoder supports trial appends: MORC compresses an inserted line
-// into all active logs but commits only the winner (§3.2.3), so Append
-// returns a pending state that the caller either commits or discards.
+// into all active logs but commits only the winner (§3.2.3). Append
+// writes the block's new dictionary entries above the committed ones and
+// its bits into encoder scratch, and returns a Pending that the caller
+// either commits or drops. Only an encoder's latest trial can commit: the
+// next Append discards an uncommitted trial.
 package lbe
 
 import (
@@ -135,90 +142,36 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.Dict32 < 1 || c.Dict64 < 1 || c.Dict128 < 1 || c.Dict256 < 1 {
-		return fmt.Errorf("lbe: all dictionary sizes must be >= 1: %+v", c)
+	for _, n := range [4]int{c.Dict32, c.Dict64, c.Dict128, c.Dict256} {
+		if n < 1 || n > maxDictEntries {
+			return fmt.Errorf("lbe: all dictionary sizes must be in [1, %d]: %+v", maxDictEntries, c)
+		}
 	}
 	return nil
-}
-
-// ptrBits returns the pointer width for a dictionary with n entries.
-func ptrBits(n int) int {
-	b := 0
-	for 1<<uint(b) < n {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
-
-// dict is one granularity's dictionary: insertion-ordered entries with a
-// content index. Entries never change once inserted (append-only, frozen
-// when full), matching the stream-preservation requirement of §2.2.
-type dict struct {
-	gran    int // bytes per entry: 4, 8, 16, 32
-	cap     int
-	entries []string
-	index   map[string]int
-}
-
-func newDict(gran, capacity int) *dict {
-	return &dict{gran: gran, cap: capacity, index: make(map[string]int, capacity)}
-}
-
-func (d *dict) lookup(b []byte) (int, bool) {
-	i, ok := d.index[string(b)]
-	return i, ok
-}
-
-func (d *dict) full() bool { return len(d.entries) >= d.cap }
-
-// add inserts b if there is room and it is not already present. The
-// membership probe uses the conversion-keyed map read (alloc-free); the
-// string is materialized only when the entry is actually inserted.
-func (d *dict) add(b []byte) {
-	if d.full() {
-		return
-	}
-	if _, ok := d.index[string(b)]; ok {
-		return
-	}
-	//morclint:ignore hotalloc dictionary insert retains the key; the copy happens once per new entry, not per access
-	d.addString(string(b))
-}
-
-// addString is add for callers that already hold the key as a string
-// (Commit replaying pending adds), skipping the []byte round-trip.
-func (d *dict) addString(s string) {
-	if d.full() {
-		return
-	}
-	if _, ok := d.index[s]; ok {
-		return
-	}
-	d.index[s] = len(d.entries)
-	d.entries = append(d.entries, s)
-}
-
-func (d *dict) clone() *dict {
-	nd := &dict{gran: d.gran, cap: d.cap, entries: append([]string(nil), d.entries...),
-		index: make(map[string]int, len(d.index))}
-	for k, v := range d.index {
-		nd.index[k] = v
-	}
-	return nd
 }
 
 // Encoder compresses a stream of 32-byte-multiple blocks, maintaining
 // dictionary state across appends (one Encoder per MORC log).
 type Encoder struct {
-	cfg    Config
-	w      *bitstream.Writer
-	dicts  [4]*dict // index by granularity level: 0=32b word .. 3=256b
-	stats  SymbolStats
-	inLen  int // uncompressed bytes appended
-	frozen bool
+	w     *bitstream.Writer
+	d     dicts
+	stats SymbolStats
+	inLen int // uncompressed bytes committed
+
+	// seq counts Appends and Commits, so a Pending can commit only while
+	// it is the latest trial and still uncommitted.
+	seq uint64
+	// The latest trial's bits, symbol counts and input length wait here
+	// until Commit; its dictionary entries sit above the watermarks.
+	tbits  []pendBit
+	tn     int
+	tstats SymbolStats
+	tin    int
+}
+
+type pendBit struct {
+	v uint64
+	n int
 }
 
 const (
@@ -235,22 +188,9 @@ func NewEncoder(cfg Config) *Encoder {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	e := &Encoder{cfg: cfg, w: bitstream.NewWriter()}
-	e.dicts[lvl32] = newDict(4, cfg.Dict32)
-	e.dicts[lvl64] = newDict(8, cfg.Dict64)
-	e.dicts[lvl128] = newDict(16, cfg.Dict128)
-	e.dicts[lvl256] = newDict(32, cfg.Dict256)
+	e := &Encoder{w: bitstream.NewWriter()}
+	e.d.init(cfg)
 	return e
-}
-
-// Clone returns a deep copy, used by multi-log trial compression when the
-// caller needs full what-if isolation.
-func (e *Encoder) Clone() *Encoder {
-	ne := &Encoder{cfg: e.cfg, w: e.w.Clone(), stats: e.stats, inLen: e.inLen}
-	for i, d := range e.dicts {
-		ne.dicts[i] = d.clone()
-	}
-	return ne
 }
 
 // Bits returns the compressed stream length in bits.
@@ -265,115 +205,57 @@ func (e *Encoder) InputBytes() int { return e.inLen }
 // Stats returns a copy of the symbol usage counters.
 func (e *Encoder) Stats() SymbolStats { return e.stats }
 
-// Pending captures the result of a trial append: the bits the block would
-// occupy and the dictionary mutations it would make. Commit applies it.
+// Pending is the result of a trial Append. The bits, symbol counts and
+// dictionary entries it would add wait in the encoder until Commit.
 type Pending struct {
-	enc      *Encoder
-	startBit int
-	bits     []pendBit
-	adds     [4][]string // new dictionary entries per level, in order
-	stats    SymbolStats
-	inLen    int
-	applied  bool
-}
-
-type pendBit struct {
-	v uint64
-	n int
+	enc  *Encoder
+	seq  uint64
+	bits int
 }
 
 // Bits returns the number of compressed bits this append would add.
-func (p *Pending) Bits() int {
-	total := 0
-	for _, b := range p.bits {
-		total += b.n
-	}
-	return total
-}
-
-type pendState struct {
-	p *Pending
-	// overlay lookup for entries added during this append
-	addIdx [4]map[string]int
-}
-
-func (ps *pendState) lookup(lvl int, b []byte) (int, bool) {
-	if i, ok := ps.p.enc.dicts[lvl].lookup(b); ok {
-		return i, true
-	}
-	if i, ok := ps.addIdx[lvl][string(b)]; ok {
-		return i, true
-	}
-	return 0, false
-}
-
-func (ps *pendState) full(lvl int) bool {
-	d := ps.p.enc.dicts[lvl]
-	return len(d.entries)+len(ps.p.adds[lvl]) >= d.cap
-}
-
-func (ps *pendState) add(lvl int, b []byte) {
-	if ps.full(lvl) {
-		return
-	}
-	if _, ok := ps.lookup(lvl, b); ok {
-		return
-	}
-	d := ps.p.enc.dicts[lvl]
-	idx := len(d.entries) + len(ps.p.adds[lvl])
-	//morclint:ignore hotalloc pending-add retains the key; one copy per new dictionary entry, shared by the slice and the index
-	s := string(b)
-	ps.p.adds[lvl] = append(ps.p.adds[lvl], s)
-	ps.addIdx[lvl][s] = idx
-}
-
-func (ps *pendState) emit(v uint64, n int) {
-	ps.p.bits = append(ps.p.bits, pendBit{v, n})
-}
+func (p Pending) Bits() int { return p.bits }
 
 // Append trial-compresses block (length must be a positive multiple of 32)
-// against the encoder's current state, returning a Pending that the caller
-// commits with Commit or simply drops. The encoder state is unmodified
-// until Commit.
-func (e *Encoder) Append(block []byte) *Pending {
+// against the encoder's committed state, returning a Pending that the
+// caller commits with Commit or simply drops. It first discards the
+// previous trial if that was not committed. The committed stream,
+// dictionaries and counters are unchanged until Commit.
+func (e *Encoder) Append(block []byte) Pending {
 	if len(block) == 0 || len(block)%32 != 0 {
 		panic(fmt.Sprintf("lbe: Append block of %d bytes (need positive multiple of 32)", len(block)))
 	}
-	p := &Pending{enc: e, startBit: e.w.Len(), inLen: len(block)}
-	ps := &pendState{p: p}
-	for i := range ps.addIdx {
-		ps.addIdx[i] = make(map[string]int)
+	for lvl := range e.d.t {
+		e.d.t[lvl].rollback()
 	}
+	e.seq++
+	e.tbits, e.tn, e.tstats, e.tin = e.tbits[:0], 0, SymbolStats{}, len(block)
 	for off := 0; off < len(block); off += 32 {
-		e.encodeChunk(ps, block[off:off+32])
+		chunk := block[off : off+32]
+		e.encodeRegion(chunk, lvl256, 0)
+		e.d.allocFailed(chunk)
 	}
-	return p
+	return Pending{enc: e, seq: e.seq, bits: e.tn}
 }
 
-// Commit applies a pending append produced by this encoder. A Pending may
-// be committed at most once, and only if the encoder has not advanced
-// since the Append call.
-func (e *Encoder) Commit(p *Pending) {
+// Commit applies a pending append produced by this encoder. Only the
+// encoder's latest Append can commit, and only once.
+func (e *Encoder) Commit(p Pending) {
 	if p.enc != e {
 		panic("lbe: Commit of pending from another encoder")
 	}
-	if p.applied {
-		panic("lbe: double Commit")
+	if p.seq != e.seq {
+		panic("lbe: Commit of a pending that is not the latest uncommitted trial")
 	}
-	if p.startBit != e.w.Len() {
-		panic("lbe: encoder advanced since Append; pending is stale")
-	}
-	for _, b := range p.bits {
+	for _, b := range e.tbits {
 		e.w.WriteBits(b.v, b.n)
 	}
-	for lvl, adds := range p.adds {
-		for _, s := range adds {
-			e.dicts[lvl].addString(s)
-		}
+	for lvl := range e.d.t {
+		e.d.t[lvl].committed = e.d.t[lvl].n
 	}
-	e.stats.Add(p.stats)
-	e.inLen += p.inLen
-	p.applied = true
+	e.stats.Add(e.tstats)
+	e.inLen += e.tin
+	e.seq++
 }
 
 // AppendCommit is the one-shot form used when no trial is needed.
@@ -412,84 +294,38 @@ var (
 	mSym = [4]Symbol{SymM32, SymM64, SymM128, SymM256}
 )
 
-// encodeChunk compresses one 32-byte chunk and performs post-chunk
-// dictionary allocation for failed large blocks.
-func (e *Encoder) encodeChunk(ps *pendState, chunk []byte) {
-	var failed [][2]int // (level, offset) of regions that failed to compress
-	e.encodeRegion(ps, chunk, lvl256, 0, &failed)
-	// Post-chunk allocation (paper: "before compressing the next 256b
-	// chunk, LBE allocates dictionary entries for any of the 64/128/256b
-	// chunks that failed to compress"). Children first so parents can be
-	// expressed as trees over existing entries.
-	for lvl := lvl64; lvl <= lvl256; lvl++ {
-		for _, f := range failed {
-			if f[0] != lvl {
-				continue
-			}
-			g := granBytes(lvl)
-			region := chunk[f[1] : f[1]+g]
-			if e.representable(ps, region) {
-				ps.add(lvl, region)
-			}
-		}
-	}
+func (e *Encoder) emit(v uint64, n int) {
+	e.tbits = append(e.tbits, pendBit{v, n})
+	e.tn += n
 }
 
-// representable reports whether every 32-bit word of region is zero or
-// present in the 32-bit dictionary — the condition for a binary-tree
-// entry at a larger granularity to have valid leaf pointers.
-func (e *Encoder) representable(ps *pendState, region []byte) bool {
-	for off := 0; off < len(region); off += 4 {
-		w := region[off : off+4]
-		if isZero(w) {
-			continue
-		}
-		if _, ok := ps.lookup(lvl32, w); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Encoder) ptrBitsFor(lvl int) int {
-	switch lvl {
-	case lvl32:
-		return ptrBits(e.cfg.Dict32)
-	case lvl64:
-		return ptrBits(e.cfg.Dict64)
-	case lvl128:
-		return ptrBits(e.cfg.Dict128)
-	default:
-		return ptrBits(e.cfg.Dict256)
-	}
-}
-
-func (ps *pendState) emitSym(s Symbol) {
+func (e *Encoder) emitSym(s Symbol) {
 	c := symCode[s]
-	ps.emit(uint64(c.v), c.n)
-	ps.p.stats[s]++
+	e.emit(uint64(c.v), c.n)
+	e.tstats[s]++
 }
 
 // encodeRegion compresses region (granBytes(lvl) bytes at offset off of
 // the chunk). It records failed 64/128/256-bit regions for post-chunk
 // dictionary allocation.
-func (e *Encoder) encodeRegion(ps *pendState, chunk []byte, lvl, off int, failed *[][2]int) {
+func (e *Encoder) encodeRegion(chunk []byte, lvl, off int) {
 	g := granBytes(lvl)
 	region := chunk[off : off+g]
 	if isZero(region) {
-		ps.emitSym(zSym[lvl])
+		e.emitSym(zSym[lvl])
 		return
 	}
-	if idx, ok := ps.lookup(lvl, region); ok {
-		ps.emitSym(mSym[lvl])
-		ps.emit(uint64(idx), e.ptrBitsFor(lvl))
+	t := &e.d.t[lvl]
+	if idx, ok := t.lookup(region); ok {
+		e.emitSym(mSym[lvl])
+		e.emit(uint64(idx), t.ptrBits)
 		return
 	}
 	if lvl > lvl32 {
-		*failed = append(*failed, [2]int{lvl, off})
+		e.d.failed = append(e.d.failed, [2]int{lvl, off})
 		half := g / 2
-		e.encodeRegion(ps, chunk, lvl-1, off, failed)
-		e.encodeRegion(ps, chunk, lvl-1, off+half, failed)
+		e.encodeRegion(chunk, lvl-1, off)
+		e.encodeRegion(chunk, lvl-1, off+half)
 		return
 	}
 	// 32-bit literal with upper-zero truncation (u8/u16/u32). Words are
@@ -498,14 +334,14 @@ func (e *Encoder) encodeRegion(ps *pendState, chunk []byte, lvl, off int, failed
 	w := binary.LittleEndian.Uint32(region)
 	switch {
 	case w < 1<<8:
-		ps.emitSym(SymU8)
-		ps.emit(uint64(w), 8)
+		e.emitSym(SymU8)
+		e.emit(uint64(w), 8)
 	case w < 1<<16:
-		ps.emitSym(SymU16)
-		ps.emit(uint64(w), 16)
+		e.emitSym(SymU16)
+		e.emit(uint64(w), 16)
 	default:
-		ps.emitSym(SymU32)
-		ps.emit(uint64(w), 32)
+		e.emitSym(SymU32)
+		e.emit(uint64(w), 32)
 	}
-	ps.add(lvl32, region)
+	t.add(region)
 }

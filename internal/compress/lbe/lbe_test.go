@@ -137,8 +137,13 @@ func TestTrialAppendDoesNotMutate(t *testing.T) {
 	if e.Bits() != before {
 		t.Fatal("Append mutated encoder bits")
 	}
-	if len(e.dicts[lvl32].entries) != 0 {
-		t.Fatal("Append mutated dictionary")
+	for lvl := range e.d.t {
+		if c := e.d.t[lvl].committed; c != 0 {
+			t.Fatalf("Append raised the level-%d committed watermark to %d", lvl, c)
+		}
+	}
+	if e.d.t[lvl32].n == 0 {
+		t.Fatal("trial added no 32-bit entries above the watermark")
 	}
 	// A second trial of the same data must produce the same size.
 	p2 := e.Append(b)
@@ -146,6 +151,11 @@ func TestTrialAppendDoesNotMutate(t *testing.T) {
 		t.Fatalf("trial appends differ: %d vs %d", p.Bits(), p2.Bits())
 	}
 	e.Commit(p2)
+	for lvl := range e.d.t {
+		if tb := &e.d.t[lvl]; tb.committed != tb.n {
+			t.Fatalf("level %d: Commit left committed=%d below n=%d", lvl, tb.committed, tb.n)
+		}
+	}
 	// After commit, the same line should compress far better.
 	p3 := e.Append(b)
 	if p3.Bits() >= p2.Bits()/2 {
@@ -153,17 +163,56 @@ func TestTrialAppendDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCommitStalePanics(t *testing.T) {
-	e := NewEncoder(DefaultConfig())
-	b := make([]byte, 64)
-	p := e.Append(b)
-	e.AppendCommit(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale commit did not panic")
+// TestTrialAppendAllocs bounds the hot path MORC runs once per active log
+// per fill: a trial Append on a warm encoder reuses the encoder's scratch
+// and tables, so it allocates nothing.
+func TestTrialAppendAllocs(t *testing.T) {
+	r := rng.New(12)
+	lines := make([][]byte, 32)
+	for i := range lines {
+		lines[i] = make([]byte, 64)
+		for w := 0; w < 16; w++ {
+			if r.Bool(0.6) {
+				binary.LittleEndian.PutUint32(lines[i][w*4:], r.Uint32()%4096)
+			}
 		}
-	}()
-	e.Commit(p)
+	}
+	e := NewEncoder(DefaultConfig())
+	for _, l := range lines[:8] {
+		e.AppendCommit(l)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Append(lines[i%len(lines)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm trial Append allocates %.2f objects, want 0", allocs)
+	}
+}
+
+func TestCommitStalePanics(t *testing.T) {
+	a := make([]byte, 64)
+	b := bytes.Repeat([]byte{7}, 64)
+	for _, c := range []struct {
+		name    string
+		advance func(e *Encoder)
+	}{
+		{"after a committed append", func(e *Encoder) { e.AppendCommit(b) }},
+		{"after a later trial", func(e *Encoder) { e.Append(b) }},
+	} {
+		e := NewEncoder(DefaultConfig())
+		p := e.Append(a)
+		c.advance(e)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: stale commit did not panic", c.name)
+				}
+			}()
+			e.Commit(p)
+		}()
+	}
 }
 
 func TestCommitTwicePanics(t *testing.T) {
@@ -201,32 +250,6 @@ func TestAppendBadSizePanics(t *testing.T) {
 			}()
 			e.Append(make([]byte, n))
 		}()
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	r := rng.New(5)
-	b1 := make([]byte, 64)
-	b2 := make([]byte, 64)
-	for i := range b1 {
-		b1[i] = byte(r.Uint64())
-		b2[i] = byte(r.Uint64())
-	}
-	e := NewEncoder(DefaultConfig())
-	e.AppendCommit(b1)
-	c := e.Clone()
-	c.AppendCommit(b2)
-	// Original must still decode to just b1.
-	d := NewDecoder(DefaultConfig(), e.Bytes(), e.Bits())
-	got, err := d.Next(64)
-	if err != nil || !bytes.Equal(got, b1) {
-		t.Fatalf("original corrupted by clone: %v", err)
-	}
-	dc := NewDecoder(DefaultConfig(), c.Bytes(), c.Bits())
-	g1, _ := dc.Next(64)
-	g2, err := dc.Next(64)
-	if err != nil || !bytes.Equal(g1, b1) || !bytes.Equal(g2, b2) {
-		t.Fatalf("clone stream wrong: %v", err)
 	}
 }
 

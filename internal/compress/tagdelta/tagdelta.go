@@ -120,19 +120,6 @@ func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg, w: bitstream.NewWriter()}
 }
 
-// Clone returns an independent copy.
-func (s *Stream) Clone() *Stream {
-	return &Stream{
-		cfg:    s.cfg,
-		w:      s.w.Clone(),
-		bases:  s.bases,
-		have:   s.have,
-		used:   s.used,
-		count:  s.count,
-		starts: append([]int(nil), s.starts...),
-	}
-}
-
 // Bits returns the stream size in bits.
 func (s *Stream) Bits() int { return s.w.Len() }
 

@@ -203,22 +203,6 @@ func TestOversizedTagPanics(t *testing.T) {
 	s.Append(1 << 11)
 }
 
-func TestClone(t *testing.T) {
-	cfg := DefaultConfig()
-	s := NewStream(cfg)
-	s.Append(500)
-	c := s.Clone()
-	c.Append(501)
-	if s.Count() != 1 || c.Count() != 2 {
-		t.Fatalf("counts: %d, %d", s.Count(), c.Count())
-	}
-	s.Append(502)
-	got, _, err := Decode(cfg, s.Bytes(), s.Bits(), 2)
-	if err != nil || got[1] != 502 {
-		t.Fatalf("original stream corrupted: %v %v", got, err)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, multiBase bool, n uint8) bool {
 		r := rng.New(seed)

@@ -74,6 +74,14 @@ type Cache struct {
 	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
 	// by a plain map to (log, line).
 	unlIndex map[uint64][2]int32
+	trials   []trial // append's per-fill scratch, one per active log
+}
+
+// trial is one active log's sizing of the line being inserted.
+type trial struct {
+	pending lbe.Pending
+	bits    int // data + tag growth: the storage the append consumes
+	fits    bool
 }
 
 // New builds a MORC cache, panicking on invalid configuration (a
@@ -435,17 +443,16 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 
 // --- log management ----------------------------------------------------
 
-// trialFit sizes appending (tag, data) to lg. fits reports whether the
-// log can accept it; dataBits is the compressed data growth.
-func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dataBits, tagBits int, fits bool) {
+// trialFit sizes appending (tag, data) to lg.
+func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) trial {
 	if c.cfg.DisableCompression {
-		dataBits = cache.LineSize * 8
-		return nil, dataBits, 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
+		return trial{bits: cache.LineSize * 8, fits: lg.rawBytes+cache.LineSize <= c.cfg.LogBytes}
 	}
-	p = lg.enc.Append(data)
-	dataBits = p.Bits()
-	tagBits = lg.tags.TrialBits(tag)
+	p := lg.enc.Append(data)
+	dataBits := p.Bits()
+	tagBits := lg.tags.TrialBits(tag)
 	capBits := c.cfg.LogBytes * 8
+	var fits bool
 	switch {
 	case c.cfg.UnlimitedTags:
 		fits = lg.enc.Bits()+dataBits <= capBits
@@ -456,7 +463,7 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dat
 			lg.tags.Bits()+tagBits <= c.cfg.TagBytesPerLog*8
 	}
 	c.st.Compressions++
-	return p, dataBits, tagBits, fits
+	return trial{pending: p, bits: dataBits + tagBits, fits: fits}
 }
 
 // append compresses the line into the best active log (content-aware
@@ -464,17 +471,11 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dat
 func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache.Writeback) {
 	tag := cache.LineTag(la)
 
-	type trial struct {
-		slot    int // index into c.actives
-		pending *lbe.Pending
-		bits    int // data + tag growth: the storage the append consumes
-		fits    bool
+	trials := c.trials[:0]
+	for _, li := range c.actives {
+		trials = append(trials, c.trialFit(c.logs[li], tag, data))
 	}
-	trials := make([]trial, len(c.actives))
-	for i, li := range c.actives {
-		p, db, tb, fits := c.trialFit(c.logs[li], tag, data)
-		trials[i] = trial{slot: i, pending: p, bits: db + tb, fits: fits}
-	}
+	c.trials = trials
 
 	best, worst := -1, -1
 	for i := range trials {
@@ -500,11 +501,11 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		}
 		wbs = c.recycle(fullest)
 		li := c.actives[fullest]
-		p, _, _, fits := c.trialFit(c.logs[li], tag, data)
-		if !fits {
+		t := c.trialFit(c.logs[li], tag, data)
+		if !t.fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		idx := c.commitAppend(li, p, tag, la, data)
+		idx := c.commitAppend(li, t.pending, tag, la, data)
 		return li, idx, wbs
 	}
 
@@ -542,8 +543,8 @@ func (c *Cache) occBits(lg *logT) int {
 }
 
 // commitAppend applies a pending compression to log li and records the
-// line. p is nil in DisableCompression mode.
-func (c *Cache) commitAppend(li int, p *lbe.Pending, tag, la uint64, data []byte) int {
+// line. p is unused in DisableCompression mode.
+func (c *Cache) commitAppend(li int, p lbe.Pending, tag, la uint64, data []byte) int {
 	lg := c.logs[li]
 	if c.cfg.DisableCompression {
 		lg.rawBytes += cache.LineSize
