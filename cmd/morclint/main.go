@@ -8,8 +8,8 @@
 //	morclint -callgraph [packages ...]
 //	morclint -list
 //
-// -callgraph dumps the interprocedural call graph the dettaint,
-// lockorder and hotalloc passes share (one "caller -> callee [kind]"
+// -callgraph dumps the interprocedural call graph the boundedgrowth,
+// dettaint, lockorder and hotalloc passes share (one "caller -> callee [kind]"
 // edge per line, deterministically ordered); -time reports per-pass
 // wall time on stderr after a normal run.
 //

@@ -26,7 +26,7 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"detrand", "lockhold", "ctxleak", "invariants", "boundedgrowth"} {
+	for _, name := range analysis.PassNames(analysis.AllPasses()) {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, out.String())
 		}
@@ -46,6 +46,18 @@ func TestUnknownPass(t *testing.T) {
 		if !strings.Contains(errb.String(), name) {
 			t.Errorf("unknown-pass message missing valid pass %s:\n%s", name, errb.String())
 		}
+	}
+}
+
+func TestRemovedPassIsUnknown(t *testing.T) {
+	// detrand was folded into dettaint; asking for it by name is an
+	// error, not a silently empty run.
+	var out, errb bytes.Buffer
+	if code := run([]string{"-passes", "detrand", fixture(t, "dettaint")}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), `unknown pass "detrand"`) {
+		t.Errorf("stderr does not name the unknown pass: %s", errb.String())
 	}
 }
 
@@ -82,12 +94,12 @@ func TestPerPassTiming(t *testing.T) {
 
 func TestFixtureFindingsExitNonzero(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{fixture(t, "detrand")}, &out, &errb)
+	code := run([]string{fixture(t, "dettaint")}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "[detrand]") {
-		t.Errorf("output missing detrand diagnostics:\n%s", out.String())
+	if !strings.Contains(out.String(), "[dettaint]") {
+		t.Errorf("output missing dettaint diagnostics:\n%s", out.String())
 	}
 }
 
@@ -115,7 +127,7 @@ func TestJSONOutputIsDeterministicallyOrdered(t *testing.T) {
 	// Two fixture packages with findings from different passes: the JSON
 	// array must come out sorted by file, line, column, then pass, and be
 	// byte-identical across runs.
-	args := []string{"-json", fixture(t, "detrand"), fixture(t, "lockhold")}
+	args := []string{"-json", fixture(t, "dettaint"), fixture(t, "lockhold")}
 	var out, errb bytes.Buffer
 	if code := run(args, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
@@ -158,10 +170,10 @@ func TestCleanPackageExitsZeroWithEmptyJSONArray(t *testing.T) {
 }
 
 func TestPassFilter(t *testing.T) {
-	// The detrand fixture is only in scope for detrand; running just the
+	// The dettaint fixture is only in scope for dettaint; running just the
 	// lockhold pass over it must be clean.
 	var out, errb bytes.Buffer
-	if code := run([]string{"-passes", "lockhold", fixture(t, "detrand")}, &out, &errb); code != 0 {
+	if code := run([]string{"-passes", "lockhold", fixture(t, "dettaint")}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
 	}
 }

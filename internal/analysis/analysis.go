@@ -64,7 +64,6 @@ type Pass interface {
 // AllPasses returns the full suite in stable order.
 func AllPasses() []Pass {
 	return []Pass{
-		&DetRand{},
 		&LockHold{},
 		&CtxLeak{},
 		&Invariants{},

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -127,8 +128,9 @@ func TestIgnoreFixturesSuppressEverything(t *testing.T) {
 // convention the Scope methods rely on.
 func TestFixtureNameParsing(t *testing.T) {
 	cases := []struct{ path, want string }{
-		{"morc/internal/analysis/testdata/src/detrand", "detrand"},
-		{"morc/internal/analysis/testdata/src/detrand_ignore", "detrand"},
+		{"morc/internal/analysis/testdata/src/dettaint", "dettaint"},
+		{"morc/internal/analysis/testdata/src/dettaint_ignore", "dettaint"},
+		{"morc/internal/analysis/testdata/src/dettaint/noncore", "dettaint"},
 		{"morc/internal/analysis/testdata/src/invariants_tested", "invariants"},
 		{"morc/internal/sim", ""},
 	}
@@ -153,22 +155,21 @@ func TestPassMetadata(t *testing.T) {
 		}
 		names[p.Name()] = true
 	}
-	for _, want := range []string{"detrand", "lockhold", "ctxleak", "invariants", "boundedgrowth", "spanbalance",
-		"dettaint", "lockorder", "hotalloc"} {
-		if !names[want] {
-			t.Errorf("pass %s missing from AllPasses", want)
-		}
+	want := []string{"lockhold", "ctxleak", "invariants", "boundedgrowth", "spanbalance",
+		"dettaint", "lockorder", "hotalloc"}
+	if got := PassNames(AllPasses()); !slices.Equal(got, want) {
+		t.Errorf("AllPasses = %v, want %v", got, want)
 	}
 }
 
 // TestDiagnosticJSON pins the JSON shape cmd/morclint -json emits.
 func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Pass: "detrand", Message: "m"}
+	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Pass: "dettaint", Message: "m"}
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"file":"a/b.go","line":3,"col":7,"pass":"detrand","message":"m"}`
+	want := `{"file":"a/b.go","line":3,"col":7,"pass":"dettaint","message":"m"}`
 	if string(b) != want {
 		t.Errorf("JSON = %s, want %s", b, want)
 	}

@@ -13,13 +13,17 @@ import (
 // is an unbounded allocation (the old one-entry-per-miss missLats slice
 // reached gigabytes before it was replaced with an online histogram).
 //
-// The pass computes the intra-package static call graph rooted at the
-// simulation-loop entry points (functions named run, Run, RunCtx, or
-// step) and flags appends whose destination is a field reached through a
-// pointer (receiver, pointer parameter, or package-level state) — growth
-// that outlives the call. Appends into value-typed locals (a result
-// struct assembled once per run) are fine.
-type BoundedGrowth struct{}
+// The pass walks the shared call graph (static and interface edges) from
+// the simulation-loop entry points — functions named run, Run, RunCtx,
+// or step in an in-scope unit — and flags appends whose destination is
+// a field reached through a pointer (receiver, pointer parameter, or
+// package-level state): growth that outlives the call. Appends into
+// value-typed locals (a result struct assembled once per run) are fine.
+// Findings are reported only in the in-scope units; the packages the
+// loop calls into (compress, core, telemetry) bound their own buffers.
+type BoundedGrowth struct {
+	reach map[*Program]map[*CGNode]bool
+}
 
 func (*BoundedGrowth) Name() string { return "boundedgrowth" }
 func (*BoundedGrowth) Doc() string {
@@ -34,60 +38,28 @@ func (*BoundedGrowth) Scope(prog *Program, u *Unit) bool {
 var loopRoots = map[string]bool{"run": true, "Run": true, "RunCtx": true, "step": true}
 
 func (b *BoundedGrowth) Run(prog *Program, u *Unit) []Finding {
-	if u.Pkg == nil {
-		return nil
+	if b.reach == nil {
+		b.reach = map[*Program]map[*CGNode]bool{}
 	}
-	// Map every declared function to its body, and build the static
-	// intra-package call graph.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	eachFuncDecl(u, func(fd *ast.FuncDecl) {
-		if fn := funcFor(u.Info, fd); fn != nil {
-			decls[fn] = fd
-		}
-	})
-	callees := func(fd *ast.FuncDecl) []*types.Func {
-		var out []*types.Func
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calleeFunc(u.Info, call); fn != nil && fn.Pkg() == u.Pkg {
-				out = append(out, fn)
-			}
-			return true
-		})
-		return out
-	}
-
-	// Reachable set from the loop roots (deterministic worklist order is
-	// irrelevant — the set is order-independent and findings are sorted
-	// downstream).
-	reach := map[*types.Func]bool{}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if reach[fn] {
-			return
-		}
-		reach[fn] = true
-		if fd, ok := decls[fn]; ok {
-			for _, c := range callees(fd) {
-				visit(c)
+	reach, ok := b.reach[prog]
+	if !ok {
+		cg := prog.CallGraph()
+		var roots []*CGNode
+		for _, n := range cg.Nodes() {
+			if loopRoots[n.Fn.Name()] && b.Scope(prog, n.Unit) {
+				roots = append(roots, n)
 			}
 		}
-	}
-	for fn, fd := range decls {
-		if loopRoots[fd.Name.Name] {
-			visit(fn)
-		}
+		reach = cg.Reachable(roots, StaticAndIface)
+		b.reach[prog] = reach
 	}
 
 	var out []Finding
-	for fn, fd := range decls {
-		if !reach[fn] {
+	for node := range reach {
+		if node.Unit != u {
 			continue
 		}
-		fd := fd
+		fd := node.Decl
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -12,8 +12,9 @@ import (
 
 // This file is the interprocedural substrate: a whole-module call graph
 // built once per Program and shared by every pass that needs to reason
-// across function boundaries (dettaint, lockorder, hotalloc). The graph
-// is intentionally conservative — it over-approximates "may call":
+// across function boundaries (boundedgrowth, dettaint, lockorder,
+// hotalloc). The graph is intentionally conservative — it
+// over-approximates "may call":
 //
 //   - static edges for direct calls to declared functions and methods;
 //   - interface edges from an interface-method call site to that method

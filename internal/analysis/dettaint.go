@@ -5,36 +5,42 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"strings"
 )
 
-// DetTaint is the interprocedural generalization of detrand: where
-// detrand looks at one function at a time inside the deterministic-core
-// packages, dettaint walks the whole-module call graph from the
-// functions that produce the deterministic artifacts (sim.Result, the
-// telemetry series, golden tables, obs.ShapeOf projections) and flags
-// every reachable function — in any package — that obtains a value from
-// a nondeterministic source and lets it escape:
+// DetTaint enforces the deterministic-replay contract: sim.Result, the
+// telemetry series and the golden files are byte-identical run to run
+// only because no wall clock, global math/rand state or map iteration
+// order reaches them. The pass has two rules.
 //
-//   - wall-clock reads: time.Now / time.Since / time.Until;
-//   - math/rand (and v2) package-level functions using the shared
-//     global generator (seeded constructors are fine);
-//   - map iteration order: range-over-map loop variables, and the
-//     callback parameters of sync.Map.Range;
+// Inside the deterministic core (corePkgs) every wall-clock read
+// (time.Now / time.Since / time.Until) and every math/rand (and v2)
+// package-level function that uses the shared global generator is a
+// finding wherever its value goes: clock-driven control flow changes
+// results without ever storing the clock. Seeded *rand.Rand values and
+// internal/rng are fine.
 //
-// "escape" means the tainted value is returned, stored through a
-// pointer (receiver field, pointer parameter, package-level or
-// closed-over state), or handed to a mutating method of such state. A
-// time.Now() whose value dies inside the function does not produce a
-// dettaint finding (detrand still flags the call itself inside the core
-// packages).
+// Beyond that, the pass walks the whole-module call graph from every
+// function declared in a core package (plus obs.ShapeOf) and flags, in
+// every reachable function of any package, a nondeterministic value
+// that escapes: returned, stored into shared state (a package-level
+// variable, anything reached through a pointer, a slice-, map- or
+// chan-typed parameter, or a call result), handed to a mutating method
+// of shared state, sent on a channel, or written as formatted output.
+// The sources are the two above plus map iteration order: range-over-map
+// loop variables and the callback parameters of sync.Map.Range. Taint
+// spreads through assignments to locals, stores into a local's fields
+// and elements, and arguments to a local's mutating methods (a
+// strings.Builder, a hash). Outside the core, a clock read whose value
+// dies locally is not a finding.
 //
-// Map-order taint is dropped by the idioms that restore determinism:
-// slices that are passed to sort.*/slices.Sort* in the same function,
-// writes keyed by the loop variable (per-key effects commute), and
-// integer/boolean accumulation. Wall-clock and global-rand taint is
-// never laundered: sorting a slice of timestamps does not make them
-// deterministic.
+// Map-order taint is dropped by the idioms that restore determinism: a
+// slice passed to sort.*/slices.Sort* after its last map-order write
+// (collect-then-sort), writes keyed by the loop variable (per-key
+// effects commute), and integer/boolean accumulation. Wall-clock and
+// global-rand taint is never laundered: sorting a slice of timestamps
+// does not make them deterministic.
 //
 // Reachability follows static and interface edges only. Function-value
 // edges are excluded on purpose: hooks like System.OnProgress are how
@@ -44,13 +50,32 @@ type DetTaint struct {
 	state map[*Program]map[*Unit][]Finding
 }
 
+// corePkgs is the deterministic core: every package whose behaviour
+// feeds sim.Result, telemetry, or the golden files.
+var corePkgs = []string{
+	"internal/sim", "internal/core", "internal/cache", "internal/compress",
+	"internal/baseline", "internal/mem", "internal/trace", "internal/energy",
+	"internal/stats", "internal/telemetry", "internal/exp", "internal/check",
+	"internal/rng", "internal/sample",
+}
+
 func (*DetTaint) Name() string { return "dettaint" }
 func (*DetTaint) Doc() string {
-	return "interprocedural taint: nondeterministic sources (wall-clock, global rand, map order) must not flow into results reachable from the deterministic core"
+	return "no wall-clock or global math/rand in the deterministic core, and no nondeterministic value (those or map order) flowing into results reachable from it"
 }
 
 func (*DetTaint) Scope(prog *Program, u *Unit) bool {
 	return u.Fixture() == "dettaint" || u.Fixture() == ""
+}
+
+// coreUnit reports whether u belongs to the deterministic core: one of
+// corePkgs, or a top-level dettaint fixture package (a fixture's
+// sub-packages stand in for the non-core code the core calls into).
+func coreUnit(prog *Program, u *Unit) bool {
+	if u.Fixture() == "dettaint" {
+		return strings.HasSuffix(path.Dir(u.Path), "/testdata/src")
+	}
+	return u.Fixture() == "" && u.InPaths(prog, corePkgs...)
 }
 
 // taint is a bitset of nondeterminism kinds.
@@ -73,10 +98,47 @@ func (t taint) String() string {
 	if t&taintMapOrder != 0 {
 		parts = append(parts, "map-iteration-order")
 	}
-	if len(parts) == 0 {
-		return "none"
-	}
 	return strings.Join(parts, "+")
+}
+
+// randConstructors are the math/rand names that only build seeded local
+// generators (deterministic and allowed); every other package-level
+// function touches the global generator.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+// sortFuncNames are the sort-package helpers whose first argument is the
+// slice being ordered (besides the Sort* family).
+var sortFuncNames = map[string]bool{
+	"Strings": true, "Ints": true, "Float64s": true,
+	"Slice": true, "SliceStable": true, "Stable": true,
+}
+
+// sourceTaint reports the nondeterminism a reference to obj introduces:
+// time.Now/Since/Until, or a math/rand function using the global
+// generator. Methods (on a seeded *rand.Rand, a time.Time) are fine.
+func sourceTaint(obj types.Object) taint {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return 0
+	}
+	if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
+		return 0
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		switch fn.Name() {
+		case "Now", "Since", "Until":
+			return taintTime
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			return taintRand
+		}
+	}
+	return 0
 }
 
 func (d *DetTaint) Run(prog *Program, u *Unit) []Finding {
@@ -92,22 +154,16 @@ func (d *DetTaint) Run(prog *Program, u *Unit) []Finding {
 }
 
 // dettaintRoots returns the artifact-producing entry points: every
-// exported function and method declared in the deterministic-core
-// packages, obs.ShapeOf, and — in dettaint fixture packages — every
-// exported function of the fixture.
+// function and method declared in a core package, and obs.ShapeOf.
 func dettaintRoots(prog *Program, cg *CallGraph) []*CGNode {
 	var roots []*CGNode
 	for _, n := range cg.Nodes() {
 		u := n.Unit
-		if !u.Lint || !n.Fn.Exported() {
+		if !u.Lint {
 			continue
 		}
-		switch {
-		case u.Fixture() == "dettaint":
-			roots = append(roots, n)
-		case u.Fixture() == "" && u.InPaths(prog, detrandPkgs...):
-			roots = append(roots, n)
-		case u.Fixture() == "" && u.InPaths(prog, "internal/obs") && n.Fn.Name() == "ShapeOf":
+		if coreUnit(prog, u) ||
+			u.Fixture() == "" && u.InPaths(prog, "internal/obs") && n.Fn.Name() == "ShapeOf" {
 			roots = append(roots, n)
 		}
 	}
@@ -122,13 +178,50 @@ func (d *DetTaint) analyze(prog *Program) map[*Unit][]Finding {
 
 	out := map[*Unit][]Finding{}
 	for _, n := range cg.Nodes() {
-		if !reach[n] || !n.Unit.Lint {
-			continue
+		if reach[n] && n.Unit.Lint {
+			out[n.Unit] = append(out[n.Unit], checkFunc(cg, roots, n)...)
 		}
-		fs := d.checkFunc(prog, cg, roots, n)
-		if len(fs) > 0 {
-			out[n.Unit] = append(out[n.Unit], fs...)
+	}
+	for _, u := range prog.Units {
+		if u.Lint && coreUnit(prog, u) {
+			out[u] = append(out[u], coreSources(prog, u, out[u])...)
 		}
+	}
+	return out
+}
+
+// coreSources flags every wall-clock read and global-rand use in a core
+// unit, package-level initializers included. A line that already
+// carries an escape finding gets no second one.
+func coreSources(prog *Program, u *Unit, escapes []Finding) []Finding {
+	line := func(pos token.Pos) token.Position {
+		p := prog.Fset.Position(pos)
+		return token.Position{Filename: p.Filename, Line: p.Line}
+	}
+	flagged := map[token.Position]bool{}
+	for _, f := range escapes {
+		flagged[line(f.Pos)] = true
+	}
+	var out []Finding
+	for _, f := range u.Files {
+		ast.Inspect(f, func(nd ast.Node) bool {
+			id, ok := nd.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := usedObject(u.Info, id)
+			t := sourceTaint(obj)
+			if t == 0 || flagged[line(id.Pos())] {
+				return true
+			}
+			flagged[line(id.Pos())] = true
+			msg := fmt.Sprintf("time.%s reads the wall clock in the deterministic core; wall-clock values must never influence simulation results", obj.Name())
+			if t == taintRand {
+				msg = fmt.Sprintf("%s.%s uses math/rand's global generator in the deterministic core; use internal/rng or a seeded *rand.Rand", obj.Pkg().Name(), obj.Name())
+			}
+			out = append(out, Finding{Pos: id.Pos(), Message: msg})
+			return true
+		})
 	}
 	return out
 }
@@ -159,61 +252,48 @@ func shortKey(key string) string {
 
 // checkFunc performs the intraprocedural escape analysis of one
 // reachable function.
-func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
+func checkFunc(cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
 	fd, info := n.Decl, n.Unit.Info
 
-	// Vars sanitized of map-order taint: passed to a sort call anywhere
-	// in the function (the collect-then-sort idiom; detrand enforces the
-	// sort's placement, dettaint only needs the laundering fact).
-	sorted := map[types.Object]bool{}
-	ast.Inspect(fd.Body, func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
-			return true
-		}
-		pkg := fn.Pkg().Path()
-		if (pkg == "sort" || pkg == "slices") &&
-			(strings.HasPrefix(fn.Name(), "Sort") || sortFuncNames[fn.Name()]) {
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				if obj := usedObject(info, id); obj != nil {
-					sorted[obj] = true
-				}
-			}
-		}
-		return true
-	})
-
-	// Taint sources and loop-variable bookkeeping.
-	vt := map[types.Object]taint{} // variable → taint kinds
+	// One walk collects the taint sources and, for each variable, the
+	// last sort call it is passed to and the last position map-order
+	// taint was written into it: a sort after that write launders it.
+	sortedAt := map[types.Object]token.Pos{}
+	vt := map[types.Object]taint{}
+	mapAt := map[types.Object]token.Pos{}
 	loopVars := map[types.Object]bool{}
-	seedLoopVar := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := usedObject(info, id); obj != nil && !sorted[obj] {
-				vt[obj] |= taintMapOrder
-				loopVars[obj] = true
-			}
+	seed := func(id *ast.Ident, end token.Pos) {
+		if obj := usedObject(info, id); obj != nil && id.Name != "_" {
+			vt[obj] |= taintMapOrder
+			mapAt[obj] = end // sorting a loop variable inside the loop launders nothing
+			loopVars[obj] = true
 		}
 	}
 	ast.Inspect(fd.Body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.RangeStmt:
-			tv, ok := info.Types[nd.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				// Ranging a sorted slice of keys is the fix, not the bug;
-				// ranging the map itself taints both loop vars.
-				if id := baseIdent(nd.X); id == nil || !sorted[usedObject(info, id)] {
-					seedLoopVar(nd.Key)
-					seedLoopVar(nd.Value)
+			if tv, ok := info.Types[nd.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					for _, e := range []ast.Expr{nd.Key, nd.Value} {
+						if id, ok := e.(*ast.Ident); ok {
+							seed(id, nd.End())
+						}
+					}
 				}
 			}
 		case *ast.CallExpr:
+			if len(nd.Args) == 0 {
+				return true
+			}
+			if fn := calleeFunc(info, nd); fn != nil && fn.Pkg() != nil &&
+				(fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") &&
+				(strings.HasPrefix(fn.Name(), "Sort") || sortFuncNames[fn.Name()]) {
+				if id, ok := ast.Unparen(nd.Args[0]).(*ast.Ident); ok {
+					if obj := usedObject(info, id); obj != nil {
+						sortedAt[obj] = max(sortedAt[obj], nd.Pos())
+					}
+				}
+			}
 			// sync.Map.Range(func(k, v any) bool { ... }): the callback
 			// parameters arrive in nondeterministic order.
 			if sel, ok := ast.Unparen(nd.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Range" {
@@ -222,10 +302,7 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 					if lit, ok := ast.Unparen(nd.Args[0]).(*ast.FuncLit); ok {
 						for _, fld := range lit.Type.Params.List {
 							for _, name := range fld.Names {
-								if obj := info.Defs[name]; obj != nil {
-									vt[obj] |= taintMapOrder
-									loopVars[obj] = true
-								}
+								seed(name, lit.End())
 							}
 						}
 					}
@@ -235,47 +312,19 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 		return true
 	})
 
-	// sourceCallTaint reports the taint a call expression introduces by
-	// itself (before argument taint).
-	sourceCallTaint := func(call *ast.CallExpr) taint {
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return 0
-		}
-		if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
-			return 0
-		}
-		switch fn.Pkg().Path() {
-		case "time":
-			switch fn.Name() {
-			case "Now", "Since", "Until":
-				return taintTime
-			}
-		case "math/rand", "math/rand/v2":
-			if !randConstructors[fn.Name()] {
-				return taintRand
-			}
-		}
-		return 0
-	}
-
-	// exprTaint: union over contained tainted identifiers and source
-	// calls. Sorted vars never carry map-order taint out.
-	var exprTaint func(e ast.Expr) taint
-	exprTaint = func(e ast.Expr) taint {
+	// exprTaint: union over contained tainted variables and source
+	// references.
+	exprTaint := func(e ast.Expr) taint {
 		var t taint
 		ast.Inspect(e, func(nd ast.Node) bool {
 			switch nd := nd.(type) {
 			case *ast.Ident:
-				if obj := usedObject(info, nd); obj != nil {
-					k := vt[obj]
-					if sorted[obj] {
-						k &^= taintMapOrder
-					}
-					t |= k
+				obj := usedObject(info, nd)
+				k := vt[obj]
+				if sortedAt[obj] > mapAt[obj] {
+					k &^= taintMapOrder
 				}
-			case *ast.CallExpr:
-				t |= sourceCallTaint(nd)
+				t |= k | sourceTaint(obj)
 			case *ast.FuncLit:
 				return false // its body runs elsewhere
 			}
@@ -283,61 +332,61 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 		})
 		return t
 	}
-
-	// Propagate assignments to locals until stable (bounded: each pass
-	// can only add bits).
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fd.Body, func(nd ast.Node) bool {
-			as, ok := nd.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := usedObject(info, id)
-				if obj == nil || sorted[obj] {
-					continue
-				}
-				var rhsT taint
-				if len(as.Rhs) == len(as.Lhs) {
-					rhsT = exprTaint(as.Rhs[i])
-				} else if len(as.Rhs) == 1 {
-					rhsT = exprTaint(as.Rhs[0])
-				}
-				if vt[obj]|rhsT != vt[obj] {
-					vt[obj] |= rhsT
-					changed = true
-				}
-			}
-			return true
-		})
+	rhsTaint := func(as *ast.AssignStmt, i int) taint {
+		if len(as.Rhs) == len(as.Lhs) {
+			return exprTaint(as.Rhs[i])
+		}
+		return exprTaint(as.Rhs[0])
 	}
 
 	// sharedRoot reports whether an lvalue chain escapes the function:
-	// rooted at a pointer-typed variable (receiver, pointer parameter),
-	// package-level state, or a variable closed over from outside fd.
-	sharedRoot := func(e ast.Expr) (root *ast.Ident, shared bool) {
-		root = baseIdent(e)
+	// rooted at a pointer-typed variable (receiver, pointer parameter), a
+	// slice-, map- or chan-typed parameter (it aliases the caller's
+	// data), or package-level state.
+	params := map[types.Object]bool{}
+	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+		if fl == nil {
+			continue
+		}
+		for _, fld := range fl.List {
+			for _, name := range fld.Names {
+				params[info.Defs[name]] = true
+			}
+		}
+	}
+	sharedRoot := func(e ast.Expr) bool {
+		root := baseIdent(e)
 		if root == nil {
-			return nil, false
+			return false
 		}
 		obj := usedObject(info, root)
 		if obj == nil {
-			return root, false
+			return false
 		}
 		if !declaredWithin(obj, fd) {
-			return root, true
+			return true
 		}
-		if v, ok := obj.(*types.Var); ok {
-			if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
-				return root, true
-			}
+		v, ok := obj.(*types.Var)
+		if !ok {
+			return false
 		}
-		return root, false
+		switch v.Type().Underlying().(type) {
+		case *types.Pointer:
+			return true
+		case *types.Slice, *types.Map, *types.Chan:
+			return params[obj]
+		}
+		return false
+	}
+	// storeEscapes reports whether a store to lvalue e is visible outside
+	// the function: a package-level variable, a chain through shared
+	// state, or a chain rooted in a call result.
+	storeEscapes := func(e ast.Expr) bool {
+		if id, plain := e.(*ast.Ident); plain {
+			obj := usedObject(info, id)
+			return obj != nil && !declaredWithin(obj, fd)
+		}
+		return baseIdent(e) == nil || sharedRoot(e)
 	}
 
 	usesLoopVar := func(e ast.Expr) bool {
@@ -358,10 +407,116 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 		b, ok := tv.Type.Underlying().(*types.Basic)
 		return ok && b.Info()&(types.IsInteger|types.IsBoolean) != 0
 	}
+	// commutes reports whether a map-order write to lhs is independent
+	// of iteration order: keyed by the loop variable, or integer/boolean
+	// accumulation.
+	commutes := func(lhs ast.Expr, tok token.Token) bool {
+		if ix, ok := lhs.(*ast.IndexExpr); ok && usesLoopVar(ix.Index) {
+			return true
+		}
+		return tok != token.ASSIGN && tok != token.DEFINE && isIntegerish(lhs)
+	}
 
-	chain := chainTo(cg, roots, n)
+	// mutatedRecv returns the receiver of a method call that can mutate
+	// it (a pointer-receiver or interface method), or nil.
+	mutatedRecv := func(call *ast.CallExpr) ast.Expr {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		selection := info.Selections[sel]
+		if selection == nil || selection.Kind() != types.MethodVal {
+			return nil
+		}
+		sig, _ := selection.Obj().Type().(*types.Signature)
+		if sig == nil || sig.Recv() == nil {
+			return nil
+		}
+		if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr && !isInterface(selection.Recv()) {
+			return nil
+		}
+		return sel.X
+	}
+	// argTaint is the taint a call's arguments carry into a mutating
+	// method. Integer observations handed to one commute, like counters.
+	argTaint := func(call *ast.CallExpr, intsCommute bool) taint {
+		var t taint
+		for _, arg := range call.Args {
+			k := exprTaint(arg)
+			if intsCommute && isIntegerish(arg) {
+				k &^= taintMapOrder
+			}
+			t |= k
+		}
+		return t
+	}
+
+	// Spread taint until stable: a plain assignment taints its variable,
+	// and a store into a local's field or element, or a tainted argument
+	// to a mutating method of a local, taints the local. Each round can
+	// only add taint bits or move a map-order write later, so the loop
+	// terminates.
+	changed := true
+	taintLocal := func(root *ast.Ident, t taint, at token.Pos) {
+		obj := usedObject(info, root)
+		if obj == nil || root.Name == "_" {
+			return
+		}
+		if vt[obj]|t != vt[obj] {
+			vt[obj] |= t
+			changed = true
+		}
+		if t&taintMapOrder != 0 && mapAt[obj] < at {
+			mapAt[obj] = at
+			changed = true
+		}
+	}
+	for changed {
+		changed = false
+		ast.Inspect(fd.Body, func(nd ast.Node) bool {
+			switch nd := nd.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range nd.Lhs {
+					lhs = ast.Unparen(lhs)
+					if storeEscapes(lhs) {
+						continue // flagged below
+					}
+					t := rhsTaint(nd, i)
+					if commutes(lhs, nd.Tok) {
+						t &^= taintMapOrder
+					}
+					taintLocal(baseIdent(lhs), t, nd.Pos())
+				}
+			case *ast.CallExpr:
+				if recv := mutatedRecv(nd); recv != nil && baseIdent(recv) != nil && !sharedRoot(recv) {
+					taintLocal(baseIdent(recv), argTaint(nd, true), nd.Pos())
+				}
+			}
+			return true
+		})
+	}
+
+	// escapingCall describes what a call does with its arguments when
+	// that is an escape: formatted output, or a mutating method of
+	// shared state (a setter is a store).
+	escapingCall := func(call *ast.CallExpr) (what string, intsCommute bool) {
+		if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+			(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
+			return "is written as formatted output", false
+		}
+		if recv := mutatedRecv(call); recv != nil && sharedRoot(recv) {
+			sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			return fmt.Sprintf("is passed to %s.%s on shared state", types.ExprString(recv), sel.Sel.Name), true
+		}
+		return "", false
+	}
+
+	chain := ""
 	var out []Finding
 	flag := func(pos token.Pos, t taint, what string) {
+		if chain == "" {
+			chain = chainTo(cg, roots, n)
+		}
 		out = append(out, Finding{Pos: pos, Message: fmt.Sprintf(
 			"%s value %s; it is reachable into the deterministic artifacts (%s)", t, what, chain)})
 	}
@@ -375,74 +530,31 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 					break
 				}
 			}
-		case *ast.AssignStmt:
-			if nd.Tok == token.DEFINE {
-				return true
+		case *ast.SendStmt:
+			if t := exprTaint(nd.Value); t != 0 {
+				flag(nd.Pos(), t, "is sent on a channel")
 			}
-			compound := nd.Tok != token.ASSIGN
+		case *ast.AssignStmt:
 			for i, lhs := range nd.Lhs {
 				lhs = ast.Unparen(lhs)
-				switch lhs.(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				default:
-					continue // plain local assignment: handled by propagation
+				if !storeEscapes(lhs) {
+					continue // a local: handled by propagation
 				}
-				_, shared := sharedRoot(lhs)
-				if !shared {
-					continue
-				}
-				var t taint
-				if len(nd.Rhs) == len(nd.Lhs) {
-					t = exprTaint(nd.Rhs[i])
-				} else if len(nd.Rhs) == 1 {
-					t = exprTaint(nd.Rhs[0])
-				}
-				if t == 0 {
-					continue
-				}
-				// Map-order exemptions: per-key writes commute, and
-				// integer accumulation is order-insensitive.
-				if t == taintMapOrder {
-					if ix, ok := lhs.(*ast.IndexExpr); ok && usesLoopVar(ix.Index) {
-						continue
-					}
-					if compound && isIntegerish(lhs) {
-						continue
-					}
-				}
-				flag(nd.Pos(), t, "is stored into shared state")
-			}
-		case *ast.CallExpr:
-			// Tainted argument handed to a mutating method of shared
-			// state: a setter is a store.
-			sel, ok := ast.Unparen(nd.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			selection := info.Selections[sel]
-			if selection == nil || selection.Kind() != types.MethodVal {
-				return true
-			}
-			sig, _ := selection.Obj().Type().(*types.Signature)
-			if sig == nil || sig.Recv() == nil {
-				return true
-			}
-			if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr && !isInterface(selection.Recv()) {
-				return true
-			}
-			if _, shared := sharedRoot(sel.X); !shared {
-				return true
-			}
-			for _, arg := range nd.Args {
-				t := exprTaint(arg)
-				if t == taintMapOrder && isIntegerish(arg) {
-					continue // integer observations commute (counters)
+				t := rhsTaint(nd, i)
+				if commutes(lhs, nd.Tok) {
+					t &^= taintMapOrder
 				}
 				if t != 0 {
-					flag(nd.Pos(), t, fmt.Sprintf("is passed to %s.%s on shared state",
-						types.ExprString(sel.X), sel.Sel.Name))
-					break
+					flag(nd.Pos(), t, "is stored into shared state")
 				}
+			}
+		case *ast.CallExpr:
+			what, intsCommute := escapingCall(nd)
+			if what == "" {
+				return true
+			}
+			if t := argTaint(nd, intsCommute); t != 0 {
+				flag(nd.Pos(), t, what)
 			}
 		}
 		return true

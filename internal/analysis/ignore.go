@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -61,7 +63,7 @@ func (idx *ignoreIndex) add(fset *token.FileSet, c *ast.Comment) {
 	}
 	fields := strings.Fields(rest)
 	// The pass list may be written with spaces after the commas
-	// ("detrand, lockhold"): a field ending in a comma keeps the list
+	// ("dettaint, lockhold"): a field ending in a comma keeps the list
 	// open, so the following field still belongs to it. Whatever remains
 	// after the list closes is the mandatory reason.
 	var passList string
@@ -84,6 +86,19 @@ func (idx *ignoreIndex) add(fset *token.FileSet, c *ast.Comment) {
 	for _, p := range strings.Split(passList, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			entry.passes = append(entry.passes, p)
+		}
+	}
+	// A pass name that no longer exists (or never did) would suppress
+	// nothing while looking like a reviewed exception.
+	known := PassNames(AllPasses())
+	for _, p := range entry.passes {
+		if p != "all" && !slices.Contains(known, p) {
+			idx.malformed = append(idx.malformed, Diagnostic{
+				File: pos.Filename, Line: pos.Line, Col: pos.Column, Pass: "morclint",
+				Message: fmt.Sprintf("ignore comment names unknown pass %q; valid passes: all, %s",
+					p, strings.Join(known, ", ")),
+			})
+			return
 		}
 	}
 	byLine := idx.entries[pos.Filename]

@@ -38,8 +38,8 @@ type Unit struct {
 
 // Fixture returns the pass name a testdata fixture package belongs to
 // ("" for regular packages): the first path segment after "testdata/src/",
-// with any "_variant" suffix stripped, so "testdata/src/detrand_ignore"
-// exercises the detrand pass.
+// with any "_variant" suffix stripped, so "testdata/src/dettaint_ignore"
+// exercises the dettaint pass.
 func (u *Unit) Fixture() string {
 	const marker = "/testdata/src/"
 	i := strings.Index(u.Path, marker)

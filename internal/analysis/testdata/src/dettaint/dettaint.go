@@ -1,8 +1,9 @@
-// Package dettaint is a morclint fixture for the interprocedural taint
-// pass: every exported function here is a root (stands in for the
-// deterministic-core entry points), and the unexported helpers are the
-// call-chain hops the pass must see through. Each `want` comment is a
-// regexp matched against the diagnostic on that line.
+// Package dettaint is a morclint fixture for the determinism pass. It
+// stands in for a deterministic-core package: every function here is a
+// root, and the helpers are the call-chain hops the pass must see
+// through. The noncore sub-package stands in for code outside the core
+// that the core calls. Each `want` comment is a regexp matched against
+// the diagnostic on that line.
 package dettaint
 
 import (
@@ -10,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"morc/internal/analysis/testdata/src/dettaint/noncore"
 )
 
 // Result stands in for sim.Result: whatever flows into it must be
@@ -27,8 +30,8 @@ func Run(m map[string]int) Result {
 // stamp obtains wall-clock time and returns it: the finding lands here,
 // at the source-adjacent function, with the chain in the message.
 func stamp() int64 {
-	t := time.Now().UnixNano()
-	return t // want "wall-clock value escapes via return"
+	t := time.Now().UnixNano() // want "time.Now reads the wall clock in the deterministic core"
+	return t                   // want "wall-clock value escapes via return"
 }
 
 // unsortedKeys lets map-iteration order escape.
@@ -91,15 +94,21 @@ func Replay() int {
 	return r.Intn(100)
 }
 
-// Measure reads the clock but the value dies locally: dettaint stays
-// quiet (detrand owns flagging the call itself inside core packages).
+// Measure reads the clock and the value dies locally, but the loop it
+// drives changes the result: inside the core every read is a finding.
 func Measure() int {
-	t0 := time.Now()
+	t0 := time.Now() // want "time.Now reads the wall clock in the deterministic core"
 	n := 0
-	for time.Since(t0) < 0 {
+	for time.Since(t0) < 0 { // want "time.Since reads the wall clock in the deterministic core"
 		n++
 	}
 	return n
+}
+
+// Poll calls into non-core code: a clock read that dies there is not a
+// finding, but one that escapes back into the core is.
+func Poll() int64 {
+	return int64(noncore.Spin()) + noncore.Stamp()
 }
 
 // Collect returns sync.Map.Range callback arguments, which arrive in

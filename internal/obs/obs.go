@@ -18,7 +18,8 @@
 //     maxTraces and drops (but counts) spans beyond maxSpansPerTrace.
 //
 // Span and trace IDs are random (crypto/rand); obs is deliberately
-// outside morclint's detrand scope.
+// outside morclint's deterministic core. dettaint roots only ShapeOf
+// here, whose projection leaves IDs and times out.
 package obs
 
 import (
