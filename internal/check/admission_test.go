@@ -33,6 +33,8 @@ func TestAdmissionRejectsRemovedKnobs(t *testing.T) {
 		{`{"workload":"gcc","parallelism":2}`, "parallelism"},
 		{`{"workload":"gcc","config":{"LLCBanks":3}}`, "LLCBanks"},
 		{`{"workload":"gcc","config":{"Parallelism":2}}`, "Parallelism"},
+		{`{"workload":"gcc","config":{"Telemetry":{"MaxEpochs":8}}}`, "MaxEpochs"},
+		{`{"workload":"gcc","config":{"MORCConfig":{"LogReplacement":1}}}`, "LogReplacement"},
 	}
 	for _, target := range []struct{ name, url string }{
 		{"morcd", direct.URL},

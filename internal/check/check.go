@@ -48,7 +48,6 @@ func New(c cache.LLC) *Oracle {
 // Cache returns the wrapped cache under test.
 func (o *Oracle) Cache() cache.LLC { return o.c }
 
-
 // Read issues a read and verifies that a hit returns the latest data
 // recorded for the line.
 func (o *Oracle) Read(addr uint64) error {

@@ -44,7 +44,6 @@ type logT struct {
 	valid     int
 	active    bool
 	closedSeq uint64 // FIFO stamp set when the log is closed
-	lastTouch uint64 // recency stamp (reads and appends), for LogLRU
 	rawBytes  int    // occupancy when DisableCompression is set
 }
 
@@ -255,8 +254,6 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 	}
 	lg := c.logs[logIdx]
 	rec := &lg.lines[lineIdx]
-	c.seq++
-	lg.lastTouch = c.seq
 	extra := tagDecodeCycles(lineIdx+1) + dataDecodeCycles(lineIdx)
 	c.st.Hits++
 	c.st.ExtraCycles += uint64(extra)
@@ -564,8 +561,6 @@ func (c *Cache) commitAppend(li int, p lbe.Pending, tag, la uint64, data []byte)
 		data:    cache.CloneLine(data),
 	})
 	lg.valid++
-	c.seq++
-	lg.lastTouch = c.seq
 	return len(lg.lines) - 1
 }
 
@@ -594,9 +589,8 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 }
 
 // pickVictim selects the log to reclaim: the oldest all-invalid closed
-// log if any (reuse priority, §3.2.1), else by the configured policy —
-// oldest-closed (FIFO, the paper's default) or least-recently-touched
-// (LRU).
+// log if any (reuse priority, §3.2.1), else the oldest closed log (FIFO,
+// the paper's policy).
 func (c *Cache) pickVictim() *logT {
 	var reuse, victim *logT
 	for _, lg := range c.logs {
@@ -608,7 +602,7 @@ func (c *Cache) pickVictim() *logT {
 				reuse = lg
 			}
 		}
-		if victim == nil || c.logRank(lg) < c.logRank(victim) {
+		if victim == nil || lg.closedSeq < victim.closedSeq {
 			victim = lg
 		}
 	}
@@ -619,15 +613,6 @@ func (c *Cache) pickVictim() *logT {
 		panic("core: no closed log to reclaim (ActiveLogs too large)")
 	}
 	return victim
-}
-
-// logRank orders closed logs for victim selection under the configured
-// replacement policy (lower = evicted first).
-func (c *Cache) logRank(lg *logT) uint64 {
-	if c.cfg.LogReplacement == LogLRU {
-		return lg.lastTouch
-	}
-	return lg.closedSeq
 }
 
 // flush performs a whole-log eviction: sequentially decompress, write

@@ -25,7 +25,7 @@ type Config struct {
 	AccessLatency uint64
 	// Banks enables bank-level timing: consecutive accesses to the same
 	// bank serialize on the row-cycle time even under closed-page policy.
-	// 0 disables bank modelling (a single idealized bank pool).
+	// 0 (or less) disables bank modelling (a single idealized bank pool).
 	Banks int
 	// BankBusyCycles is the row-cycle time tRC in core cycles
 	// (DDR3-1600: ~47ns ≈ 94 cycles at 2GHz).
@@ -88,7 +88,7 @@ func (c *Controller) bankOf(addr uint64) int {
 // bankDelay serializes the access behind its bank's row cycle and
 // reserves the bank. Returns the start cycle after any bank wait.
 func (c *Controller) bankDelay(now uint64, addr uint64) uint64 {
-	if c.cfg.Banks == 0 {
+	if c.cfg.Banks <= 0 {
 		return now
 	}
 	b := c.bankOf(addr)

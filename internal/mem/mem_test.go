@@ -128,10 +128,14 @@ func TestBankConflictSerializes(t *testing.T) {
 }
 
 func TestBankTimingOffByDefaultConfigZeroBanks(t *testing.T) {
-	c := NewController(Config{ClockHz: 2e9, BandwidthBytesPerSec: 100e6, AccessLatency: 80})
-	c.Read(0, 0, 64)
-	c.Read(0, 8*64, 64)
-	if c.Stats().BankWaits != 0 {
-		t.Fatal("bank waits counted with banks disabled")
+	// A negative bank count (sim.Config.MemBanks comes from job specs)
+	// disables bank timing like zero instead of indexing past bankFree.
+	for _, banks := range []int{0, -1} {
+		c := NewController(Config{ClockHz: 2e9, BandwidthBytesPerSec: 100e6, AccessLatency: 80, Banks: banks})
+		c.Read(0, 0, 64)
+		c.Read(0, 8*64, 64)
+		if c.Stats().BankWaits != 0 {
+			t.Fatalf("banks=%d: bank waits counted with banks disabled", banks)
+		}
 	}
 }

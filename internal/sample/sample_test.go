@@ -261,77 +261,3 @@ func TestProfileRejects(t *testing.T) {
 		t.Error("empty Programs accepted")
 	}
 }
-
-// TestCodecRoundTrip pins the wire format on a fixed set.
-func TestCodecRoundTrip(t *testing.T) {
-	sigs := synthSigs(9, 5)
-	got, err := DecodeSignatures(EncodeSignatures(sigs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sigs) {
-		t.Fatalf("round trip changed signatures:\n%+v\n%+v", got, sigs)
-	}
-	// Empty set round-trips too.
-	got, err = DecodeSignatures(EncodeSignatures(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty round trip yielded %d signatures", len(got))
-	}
-}
-
-// TestCodecRejects covers the decoder's strict validation.
-func TestCodecRejects(t *testing.T) {
-	valid := EncodeSignatures(synthSigs(2, 1))
-	cases := map[string][]byte{
-		"short blob":       valid[:6],
-		"bad magic":        append([]byte("NOTMORC1"), valid[8:]...),
-		"truncated body":   valid[:len(valid)-8],
-		"trailing garbage": append(append([]byte(nil), valid...), 0xff),
-	}
-	for name, blob := range cases {
-		if _, err := DecodeSignatures(blob); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	// Implausible count.
-	huge := append([]byte(sigMagic), 0xff, 0xff, 0xff, 0xff)
-	if _, err := DecodeSignatures(huge); err == nil {
-		t.Error("implausible count accepted")
-	}
-}
-
-// FuzzSignature fuzzes the decoder: arbitrary input never panics, and
-// anything that decodes must re-encode to a blob that decodes to the
-// same signatures (decode∘encode is the identity on valid blobs).
-func FuzzSignature(f *testing.F) {
-	f.Add(EncodeSignatures(nil))
-	f.Add(EncodeSignatures(synthSigs(3, 2)))
-	f.Add([]byte(sigMagic))
-	f.Add([]byte("MORCSIG2\x01\x00\x00\x00"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sigs, err := DecodeSignatures(data)
-		if err != nil {
-			return
-		}
-		again, err := DecodeSignatures(EncodeSignatures(sigs))
-		if err != nil {
-			t.Fatalf("re-encoded valid blob failed to decode: %v", err)
-		}
-		// NaN payloads break DeepEqual; compare bit patterns instead.
-		if len(again) != len(sigs) {
-			t.Fatalf("round trip changed count %d -> %d", len(sigs), len(again))
-		}
-		for i := range sigs {
-			af, bf := sigs[i].Features(), again[i].Features()
-			for j := range af {
-				if math.Float64bits(af[j]) != math.Float64bits(bf[j]) {
-					t.Fatalf("signature %d feature %d changed %x -> %x",
-						i, j, math.Float64bits(af[j]), math.Float64bits(bf[j]))
-				}
-			}
-		}
-	})
-}

@@ -71,11 +71,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeEvent(w, "progress", j.eventView())
 	fl.Flush()
 
-	interval := s.progressEvery
-	if interval <= 0 {
-		interval = defaultProgressInterval
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(defaultProgressInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -49,9 +49,6 @@ type Config struct {
 	// (default: discard, so embedding the server in tests stays quiet;
 	// cmd/morcd passes a real handler).
 	Logger *slog.Logger
-	// ProgressInterval is the cadence of "progress" events on the SSE
-	// stream (default 250ms).
-	ProgressInterval time.Duration
 }
 
 // Submission errors.
@@ -62,14 +59,13 @@ var (
 
 // Server owns the job table, the bounded queue, and the worker pool.
 type Server struct {
-	workers       int
-	queue         chan *Job
-	metrics       *metrics
-	log           *slog.Logger
-	progressEvery time.Duration
-	baseCtx       context.Context
-	stopAll       context.CancelFunc
-	wg            sync.WaitGroup
+	workers int
+	queue   chan *Job
+	metrics *metrics
+	log     *slog.Logger
+	baseCtx context.Context
+	stopAll context.CancelFunc
+	wg      sync.WaitGroup
 
 	// Tracing: every job gets a span tree in spans, exportable via
 	// GET /v1/jobs/{id}/trace.
@@ -105,16 +101,15 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	spans := obs.NewStore(0, 0)
 	s := &Server{
-		workers:       cfg.Workers,
-		queue:         make(chan *Job, cfg.QueueDepth),
-		metrics:       newMetrics(),
-		log:           cfg.Logger,
-		progressEvery: cfg.ProgressInterval,
-		baseCtx:       ctx,
-		stopAll:       cancel,
-		spans:         spans,
-		tracer:        obs.NewTracer("morcd", spans),
-		jobs:          map[string]*Job{},
+		workers: cfg.Workers,
+		queue:   make(chan *Job, cfg.QueueDepth),
+		metrics: newMetrics(),
+		log:     cfg.Logger,
+		baseCtx: ctx,
+		stopAll: cancel,
+		spans:   spans,
+		tracer:  obs.NewTracer("morcd", spans),
+		jobs:    map[string]*Job{},
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {

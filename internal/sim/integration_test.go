@@ -137,15 +137,23 @@ func TestWorkloadsAreDistinct(t *testing.T) {
 	}
 }
 
-// TestBankTimingSlowsContendedRuns: enabling DDR3 bank timing can only
-// add delay, never remove it.
+// TestBankTimingSlowsContendedRuns: Config.MemBanks reaches the memory
+// controller, and enabling DDR3 bank timing can only add delay, never
+// remove it.
 func TestBankTimingSlowsContendedRuns(t *testing.T) {
 	plain := quickCfg(Uncompressed)
 	banked := quickCfg(Uncompressed)
 	banked.MemBanks = 8
 	banked.MemBankBusy = 94
 	a := RunSingle("mcf", plain)
-	b := RunSingle("mcf", banked)
+	s, err := NewSingle("mcf", banked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Run()
+	if w := s.Memory().Stats().BankWaits; w == 0 {
+		t.Fatal("banked run recorded no bank waits: MemBanks did not reach the controller")
+	}
 	if b.CompletionCycles < a.CompletionCycles {
 		t.Fatalf("bank timing sped the run up: %d vs %d", b.CompletionCycles, a.CompletionCycles)
 	}

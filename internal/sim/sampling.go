@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -166,10 +165,7 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		return Result{}, errSamplingDegenerate
 	}
 
-	var st *sampledTelemetry
-	if cfg.Telemetry.Enabled() {
-		st = &sampledTelemetry{scheme: cfg.Scheme.String(), every: cfg.Telemetry.Every, onEpoch: s.OnEpoch}
-	}
+	telOn := cfg.Telemetry.Enabled()
 
 	// Lay out the detailed schedule. Every representative window [startB,
 	// endB) needs ReplayInstr of detailed cache warmup before it; the
@@ -214,7 +210,7 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		}
 	}
 
-	var detailed uint64
+	var detailed, telInstr uint64
 	var epochs []telemetry.Epoch
 	wins := make([]winDelta, 0, plan.K)
 	anchors := make([]ratioAnchor, 0, plan.K)
@@ -244,7 +240,7 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		}
 		s.beginMeasurement()
 		var telBegin telemetry.Sample
-		if st != nil {
+		if telOn {
 			telBegin = s.telemetrySample(0)
 		}
 		// Arm the boundary snapshots and run the rest of the segment as
@@ -290,7 +286,7 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		s.snapBounds = bounds
 		s.snapCrossed = make([]int, len(bounds))
 		s.cuts = make([]segCut, len(bounds))
-		s.snapTel = st != nil
+		s.snapTel = telOn
 		s.boundPhases = phases
 		for _, c := range s.cores {
 			c.snapAt = bounds[0]
@@ -329,26 +325,15 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 				startIdx = boundIdx[w.startB]
 				prevCut = s.cuts[startIdx]
 			}
-			wd := winDelta{rep: w.rep, ratio: cut.ratio}
-			for _, c := range s.cores {
+			cores := make([]winSnap, len(s.cores))
+			for i, c := range s.cores {
 				prev := winSnap{instr: c.startInst, now: c.startCyc}
 				if startIdx >= 0 {
 					prev = c.snaps[startIdx]
 				}
-				cur := c.snaps[boundIdx[w.endB]]
-				wd.cores = append(wd.cores, winSnap{
-					instr:  cur.instr - prev.instr,
-					now:    cur.now - prev.now,
-					refs:   cur.refs - prev.refs,
-					misses: cur.misses - prev.misses,
-					stall:  cur.stall - prev.stall,
-					lat:    subHist(cur.lat, prev.lat),
-				})
+				cores[i] = c.snaps[boundIdx[w.endB]].sub(prev)
 			}
-			wd.llc = subCacheStats(cut.llc, prevCut.llc)
-			wd.memBytes = cut.mem.TotalBytes() - prevCut.mem.TotalBytes()
-			wd.memAccs = (cut.mem.Reads + cut.mem.Writes) - (prevCut.mem.Reads + prevCut.mem.Writes)
-			wins = append(wins, wd)
+			wins = append(wins, newWinDelta(cores, cut, prevCut))
 			// The anchor's position is where the cut actually happened on
 			// the full run's sample clock: total instructions past warmup,
 			// counting fast-forwarded ones (c.instr includes them).
@@ -356,14 +341,24 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 				pos:   float64(cut.total) - float64(uint64(len(s.cores))*cfg.WarmupInstr),
 				ratio: cut.ratio,
 			})
-			if st != nil {
-				epochs = append(epochs, st.record(len(epochs), prevCut.tel, cut.tel, cut.ratio))
+			// One epoch per window: its deltas only, so fast-forwarded
+			// gaps and replays never appear. The window-end ratio stands
+			// in for the full run's periodic in-window samples.
+			if telOn {
+				e := telemetry.Delta(prevCut.tel, cut.tel)
+				telInstr += e.Instr
+				e.Seq, e.EndInstr = len(epochs), telInstr
+				e.CompRatio, e.RatioSamples = cut.ratio, 1
+				epochs = append(epochs, e)
+				if s.OnEpoch != nil {
+					s.OnEpoch(e)
+				}
 			}
 		}
 	}
 
 	f := float64(cfg.MeasureInstr) / (float64(n) * float64(L))
-	res := s.extrapolate(wins, interpCoeffs(plan.Reps, n), f)
+	res := s.derive(wins, interpCoeffs(plan.Reps, n), f)
 	res.CompRatio = sampledCompRatio(anchors, cfg.SampleEvery, uint64(len(s.cores))*cfg.MeasureInstr)
 
 	info := SamplingInfo{
@@ -400,8 +395,10 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		})
 	}
 	res.Sampling = &info
-	if st != nil {
-		res.Telemetry = &telemetry.Series{Scheme: st.scheme, Every: st.every, Epochs: epochs}
+	// The epoch grid is the window schedule; Every is kept on the
+	// Series for self-description.
+	if telOn {
+		res.Telemetry = &telemetry.Series{Scheme: cfg.Scheme.String(), Every: cfg.Telemetry.Every, Epochs: epochs}
 	}
 	if s.OnProgress != nil {
 		s.OnProgress(s.totalTarget(), s.totalTarget())
@@ -459,18 +456,11 @@ func (s *System) totalInstr() uint64 {
 	return t
 }
 
-// winSnap is a snapshot of one core's measurement counters, taken as the
-// core crosses a window boundary inside a sampled group phase. The same
-// shape doubles as a per-window delta between two snapshots.
-type winSnap struct {
-	instr, now, refs, misses, stall uint64
-	lat                             *stats.Histogram
-}
-
 // segCut is a consistent global snapshot taken the moment the LAST core
 // crosses a window boundary: consecutive cuts' deltas attribute the
 // shared counters (LLC, memory controller) to windows, and telescope
-// exactly to the segment phase's totals.
+// exactly to the segment phase's totals. collect uses the same shape
+// for a full run's window ends (only llc and mem set).
 type segCut struct {
 	llc   cache.Stats
 	mem   mem.Stats
@@ -483,19 +473,6 @@ type segCut struct {
 	tel   telemetry.Sample
 }
 
-// winDelta is one representative window's exact measurements, cut out of
-// its segment phase: per-core counter deltas between boundary snapshots,
-// shared-counter deltas between consistent cuts, and the occupancy ratio
-// at the window's end.
-type winDelta struct {
-	rep      int
-	cores    []winSnap
-	llc      cache.Stats
-	memBytes uint64
-	memAccs  uint64
-	ratio    float64
-}
-
 // windowSnap records core c crossing its next window boundary; the
 // sequential run loop calls it whenever c.instr >= c.snapAt. When the
 // last core crosses a boundary it also takes that boundary's segCut.
@@ -504,14 +481,8 @@ type winDelta struct {
 func (s *System) windowSnap(c *coreState) {
 	for c.snapIdx < len(s.snapBounds) && c.instr >= c.snapAt {
 		j := c.snapIdx
-		c.snaps[j] = winSnap{
-			instr:  c.instr,
-			now:    c.now,
-			refs:   c.refs,
-			misses: c.l1Misses,
-			stall:  c.stall,
-			lat:    cloneHist(c.missLat),
-		}
+		c.snaps[j] = c.snapshot()
+		c.snaps[j].lat = cloneHist(c.missLat)
 		c.snapIdx++
 		if j+1 < len(s.snapBounds) {
 			c.snapAt = s.snapBounds[j+1]
@@ -538,48 +509,6 @@ func (s *System) windowSnap(c *coreState) {
 				s.OnPhase(ev)
 			}
 		}
-	}
-}
-
-// cloneHist copies a histogram's mutable state (bounds are shared).
-func cloneHist(h *stats.Histogram) *stats.Histogram {
-	return &stats.Histogram{
-		Bounds: h.Bounds,
-		Counts: append([]uint64(nil), h.Counts...),
-		Sums:   append([]float64(nil), h.Sums...),
-		N:      h.N,
-		Sum:    h.Sum,
-	}
-}
-
-// subHist returns cur - prev bucketwise; a nil prev means "the window
-// starts at the group's beginMeasurement reset", i.e. the zero histogram.
-func subHist(cur, prev *stats.Histogram) *stats.Histogram {
-	d := cloneHist(cur)
-	if prev == nil {
-		return d
-	}
-	for b := range d.Counts {
-		d.Counts[b] -= prev.Counts[b]
-		d.Sums[b] -= prev.Sums[b]
-	}
-	d.N -= prev.N
-	d.Sum -= prev.Sum
-	return d
-}
-
-// subCacheStats returns the counter delta a - b.
-func subCacheStats(a, b cache.Stats) cache.Stats {
-	return cache.Stats{
-		Reads:        a.Reads - b.Reads,
-		Hits:         a.Hits - b.Hits,
-		Misses:       a.Misses - b.Misses,
-		Fills:        a.Fills - b.Fills,
-		WriteBacks:   a.WriteBacks - b.WriteBacks,
-		MemWBs:       a.MemWBs - b.MemWBs,
-		ExtraCycles:  a.ExtraCycles - b.ExtraCycles,
-		Compressions: a.Compressions - b.Compressions,
-		Decompressed: a.Decompressed - b.Decompressed,
 	}
 }
 
@@ -616,126 +545,6 @@ func interpCoeffs(reps []int, n int) []float64 {
 		}
 	}
 	return coef
-}
-
-// extrapolate combines the representative windows' deltas into the
-// full-window estimate: every additive counter is summed with the
-// interpCoeffs window coefficients (then scaled by f, the truncation-
-// remainder correction), ratios are recomputed from the extrapolated
-// counters, and the per-core latency histograms merge with the same
-// weights, so derived metrics (CGMT throughput, AvgGap) come out of the
-// identical formulas collect() uses on full runs.
-func (s *System) extrapolate(wins []winDelta, coef []float64, f float64) Result {
-	res := Result{Scheme: s.cfg.Scheme}
-
-	var ipcs, tputs []float64
-	var totalInstrF float64
-	for i := range s.cores {
-		var instrF, cycF, refsF, missF, stallF float64
-		h := stats.NewHistogram(missLatBounds)
-		countsF := make([]float64, len(h.Counts))
-		for w := range wins {
-			p := coef[w]
-			c := wins[w].cores[i]
-			instrF += p * float64(c.instr)
-			cycF += p * float64(c.now)
-			refsF += p * float64(c.refs)
-			missF += p * float64(c.misses)
-			stallF += p * float64(c.stall)
-			for b := range countsF {
-				countsF[b] += p * float64(c.lat.Counts[b])
-				h.Sums[b] += p * c.lat.Sums[b] * f
-			}
-		}
-		instrF *= f
-		cycF *= f
-		refsF *= f
-		missF *= f
-		stallF *= f
-		for b := range countsF {
-			h.Counts[b] = uint64(math.Round(countsF[b] * f))
-			h.N += h.Counts[b]
-			h.Sum += h.Sums[b]
-		}
-		cr := CoreResult{
-			Instructions:   uint64(math.Round(instrF)),
-			Cycles:         uint64(math.Round(cycF)),
-			Refs:           uint64(math.Round(refsF)),
-			L1Misses:       uint64(math.Round(missF)),
-			StallCycles:    uint64(math.Round(stallF)),
-			MissLatency:    h,
-			AvgMissLatency: h.Mean(),
-		}
-		if cycF > 0 {
-			cr.IPC = instrF / cycF
-		}
-		compute := cycF - stallF
-		if missF > 0 {
-			cr.AvgGap = compute / missF
-		}
-		hidden := float64(s.cfg.Threads-1) * cr.AvgGap
-		var residual float64
-		for b, cnt := range h.Counts {
-			if cnt == 0 {
-				continue
-			}
-			if excess := h.Sums[b] - hidden*float64(cnt); excess > 0 {
-				residual += excess
-			}
-		}
-		if tcyc := compute + residual; tcyc > 0 {
-			cr.ThroughputIPC = instrF / tcyc
-		}
-		res.Cores = append(res.Cores, cr)
-		totalInstrF += instrF
-		ipcs = append(ipcs, cr.IPC)
-		tputs = append(tputs, cr.ThroughputIPC)
-		if cr.Cycles > res.CompletionCycles {
-			res.CompletionCycles = cr.Cycles
-		}
-	}
-	res.IPC = stats.GeoMean(ipcs)
-	res.Throughput = stats.GeoMean(tputs)
-
-	// CompRatio is set by runSampled via position interpolation (see
-	// sampledCompRatio): occupancy ratio is global cache state that trends
-	// with absolute position, not per-interval behavior, so population
-	// weighting is the wrong estimator for it.
-
-	var memF, dramF float64
-	for w := range wins {
-		memF += coef[w] * float64(wins[w].memBytes) * f
-		dramF += coef[w] * float64(wins[w].memAccs) * f
-	}
-	res.MemBytes = uint64(math.Round(memF))
-	if totalInstrF > 0 {
-		res.GBPerBillionInstr = memF / totalInstrF
-	}
-
-	sum := func(get func(cache.Stats) uint64) uint64 {
-		var v float64
-		for w := range wins {
-			v += coef[w] * float64(get(wins[w].llc)) * f
-		}
-		return uint64(math.Round(v))
-	}
-	res.LLCStats = cache.Stats{
-		Reads:        sum(func(st cache.Stats) uint64 { return st.Reads }),
-		Hits:         sum(func(st cache.Stats) uint64 { return st.Hits }),
-		Misses:       sum(func(st cache.Stats) uint64 { return st.Misses }),
-		Fills:        sum(func(st cache.Stats) uint64 { return st.Fills }),
-		WriteBacks:   sum(func(st cache.Stats) uint64 { return st.WriteBacks }),
-		MemWBs:       sum(func(st cache.Stats) uint64 { return st.MemWBs }),
-		ExtraCycles:  sum(func(st cache.Stats) uint64 { return st.ExtraCycles }),
-		Compressions: sum(func(st cache.Stats) uint64 { return st.Compressions }),
-		Decompressed: sum(func(st cache.Stats) uint64 { return st.Decompressed }),
-	}
-
-	// Energy is linear in events and cycles, so applying the model once
-	// to the extrapolated events equals the weighted sum of per-window
-	// breakdowns.
-	res.Energy = s.energyFor(res, uint64(math.Round(dramF)))
-	return res
 }
 
 // ratioAnchor pins the LLC occupancy ratio observed at one window's end,
@@ -779,72 +588,4 @@ func sampledCompRatio(anchors []ratioAnchor, sampleEvery, totalMeasure uint64) f
 	sum += at(float64(totalMeasure)) // the full run's forced end sample
 	n++
 	return sum / float64(n)
-}
-
-// sampledTelemetry synthesizes the telemetry series of a sampled run:
-// one epoch per measured representative window (deltas across that
-// window only — fast-forwarded gaps and warmup replays never appear).
-// The epoch grid is therefore the window schedule, not Every; Every is
-// kept on the Series for self-description.
-type sampledTelemetry struct {
-	scheme   string
-	every    uint64
-	onEpoch  func(telemetry.Epoch)
-	endInstr uint64
-}
-
-// record builds one window epoch from its boundary samples, mirroring
-// the Recorder's delta/derivation arithmetic, and returns it (the caller
-// owns the epoch slice). ratio is the occupancy at the window-end cut;
-// it stands in for the full run's periodic in-window samples, so
-// RatioSamples is 1.
-func (st *sampledTelemetry) record(seq int, begin, end telemetry.Sample, ratio float64) telemetry.Epoch {
-	e := telemetry.Epoch{
-		Seq:           seq,
-		LLCReads:      end.LLC.Reads - begin.LLC.Reads,
-		LLCHits:       end.LLC.Hits - begin.LLC.Hits,
-		LLCMisses:     end.LLC.Misses - begin.LLC.Misses,
-		Fills:         end.LLC.Fills - begin.LLC.Fills,
-		WriteBacks:    end.LLC.WriteBacks - begin.LLC.WriteBacks,
-		MemWBs:        end.LLC.MemWBs - begin.LLC.MemWBs,
-		MemReadBytes:  end.Mem.ReadBytes - begin.Mem.ReadBytes,
-		MemWriteBytes: end.Mem.WriteBytes - begin.Mem.WriteBytes,
-		BusyCycles:    end.Mem.BusyCycles - begin.Mem.BusyCycles,
-		Probes:        end.Probes,
-		CompRatio:     ratio,
-		RatioSamples:  1,
-	}
-	var maxNow, maxPrev uint64
-	for i := range end.Cores {
-		ce := telemetry.CoreEpoch{
-			Instr:  end.Cores[i].Instr - begin.Cores[i].Instr,
-			Cycles: end.Cores[i].Cycles - begin.Cores[i].Cycles,
-			Stall:  end.Cores[i].Stall - begin.Cores[i].Stall,
-		}
-		if ce.Cycles > 0 {
-			ce.IPC = float64(ce.Instr) / float64(ce.Cycles)
-			ce.StallFrac = float64(ce.Stall) / float64(ce.Cycles)
-		}
-		e.Cores = append(e.Cores, ce)
-		e.Instr += ce.Instr
-		if end.Cores[i].Cycles > maxNow {
-			maxNow = end.Cores[i].Cycles
-		}
-		if begin.Cores[i].Cycles > maxPrev {
-			maxPrev = begin.Cores[i].Cycles
-		}
-	}
-	e.Cycles = maxNow - maxPrev
-	if e.LLCReads > 0 {
-		e.HitRate = float64(e.LLCHits) / float64(e.LLCReads)
-	}
-	if e.Cycles > 0 {
-		e.BWUtil = float64(e.BusyCycles) / float64(e.Cycles)
-	}
-	st.endInstr += e.Instr
-	e.EndInstr = st.endInstr
-	if st.onEpoch != nil {
-		st.onEpoch(e)
-	}
-	return e
 }

@@ -152,6 +152,8 @@ func New(cfg Config, programs []trace.Profile) *System {
 			ClockHz:              cfg.ClockHz,
 			BandwidthBytesPerSec: cfg.BWPerCore * float64(cfg.Cores),
 			AccessLatency:        cfg.MemLatency,
+			Banks:                cfg.MemBanks,
+			BankBusyCycles:       cfg.MemBankBusy,
 		}),
 		ratio:    stats.NewSampler(cfg.SampleEvery),
 		programs: append([]trace.Profile(nil), programs...),

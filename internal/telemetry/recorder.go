@@ -27,12 +27,6 @@ func NewRecorder(cfg Config, scheme string, onEpoch func(Epoch)) *Recorder {
 	if cfg.Every == 0 {
 		panic("telemetry: NewRecorder with Every == 0 (gate on Config.Enabled)")
 	}
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = DefaultMaxEpochs
-	}
-	if cfg.MaxEpochs < 2 {
-		cfg.MaxEpochs = 2
-	}
 	return &Recorder{
 		cfg:     cfg,
 		onEpoch: onEpoch,
@@ -95,37 +89,9 @@ func (r *Recorder) Finish(s Sample) *Series {
 
 // emit appends the delta epoch between r.last and s.
 func (r *Recorder) emit(s Sample) {
-	e := Epoch{
-		Seq:           len(r.series.Epochs),
-		EndInstr:      s.Instr,
-		Instr:         s.Instr - r.last.Instr,
-		LLCReads:      s.LLC.Reads - r.last.LLC.Reads,
-		LLCHits:       s.LLC.Hits - r.last.LLC.Hits,
-		LLCMisses:     s.LLC.Misses - r.last.LLC.Misses,
-		Fills:         s.LLC.Fills - r.last.LLC.Fills,
-		WriteBacks:    s.LLC.WriteBacks - r.last.LLC.WriteBacks,
-		MemWBs:        s.LLC.MemWBs - r.last.LLC.MemWBs,
-		MemReadBytes:  s.Mem.ReadBytes - r.last.Mem.ReadBytes,
-		MemWriteBytes: s.Mem.WriteBytes - r.last.Mem.WriteBytes,
-		BusyCycles:    s.Mem.BusyCycles - r.last.Mem.BusyCycles,
-		Probes:        s.Probes,
-	}
-	var maxNow, maxPrev uint64
-	for i := range s.Cores {
-		ce := CoreEpoch{
-			Instr:  s.Cores[i].Instr - r.last.Cores[i].Instr,
-			Cycles: s.Cores[i].Cycles - r.last.Cores[i].Cycles,
-			Stall:  s.Cores[i].Stall - r.last.Cores[i].Stall,
-		}
-		e.Cores = append(e.Cores, ce)
-		if s.Cores[i].Cycles > maxNow {
-			maxNow = s.Cores[i].Cycles
-		}
-		if r.last.Cores[i].Cycles > maxPrev {
-			maxPrev = r.last.Cores[i].Cycles
-		}
-	}
-	e.Cycles = maxNow - maxPrev
+	e := Delta(r.last, s)
+	e.Seq = len(r.series.Epochs)
+	e.EndInstr = s.Instr
 	if r.ratioN > 0 {
 		e.CompRatio = r.ratioSum / float64(r.ratioN)
 		e.RatioSamples = r.ratioN
@@ -133,15 +99,43 @@ func (r *Recorder) emit(s Sample) {
 	} else {
 		e.CompRatio = s.Ratio
 	}
-	e.derive()
 	r.series.Epochs = append(r.series.Epochs, e)
 	r.last = s
 	if r.onEpoch != nil {
 		r.onEpoch(e)
 	}
-	if len(r.series.Epochs) > r.cfg.MaxEpochs {
+	if len(r.series.Epochs) > maxEpochs {
 		r.compact()
 	}
+}
+
+// Delta returns the epoch between two boundary samples of one window:
+// the counter and per-core deltas, Cycles as the slowest core's advance,
+// and the derived ratios. Probes are read at end. The caller sets Seq,
+// EndInstr and the compression-ratio fields.
+func Delta(begin, end Sample) Epoch {
+	e := Epoch{
+		LLCReads:      end.LLC.Reads - begin.LLC.Reads,
+		LLCHits:       end.LLC.Hits - begin.LLC.Hits,
+		LLCMisses:     end.LLC.Misses - begin.LLC.Misses,
+		Fills:         end.LLC.Fills - begin.LLC.Fills,
+		WriteBacks:    end.LLC.WriteBacks - begin.LLC.WriteBacks,
+		MemWBs:        end.LLC.MemWBs - begin.LLC.MemWBs,
+		MemReadBytes:  end.Mem.ReadBytes - begin.Mem.ReadBytes,
+		MemWriteBytes: end.Mem.WriteBytes - begin.Mem.WriteBytes,
+		BusyCycles:    end.Mem.BusyCycles - begin.Mem.BusyCycles,
+		Probes:        end.Probes,
+	}
+	var maxEnd, maxBegin uint64
+	for i, c := range end.Cores {
+		b := begin.Cores[i]
+		e.Cores = append(e.Cores, CoreEpoch{Instr: c.Instr - b.Instr, Cycles: c.Cycles - b.Cycles, Stall: c.Stall - b.Stall})
+		e.Instr += c.Instr - b.Instr
+		maxEnd, maxBegin = max(maxEnd, c.Cycles), max(maxBegin, b.Cycles)
+	}
+	e.Cycles = maxEnd - maxBegin
+	e.derive()
+	return e
 }
 
 // compact halves the series by merging adjacent epoch pairs and doubles

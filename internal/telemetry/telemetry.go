@@ -29,11 +29,11 @@ import (
 // instructions (summed across cores).
 const DefaultEvery = 10_000_000
 
-// DefaultMaxEpochs bounds a series' memory. When a run produces more
-// epochs than this, adjacent epochs are merged pairwise and the epoch
-// length doubles, so arbitrarily long runs keep a bounded, uniformly
-// gridded series instead of growing without limit or dropping data.
-const DefaultMaxEpochs = 4096
+// maxEpochs bounds a series' memory. When a run produces more epochs
+// than this, adjacent epochs are merged pairwise and the epoch length
+// doubles, so arbitrarily long runs keep a bounded, uniformly gridded
+// series instead of growing without limit or dropping data.
+const maxEpochs = 4096
 
 // Config parameterizes a Recorder. It lives on sim.Config (and is
 // therefore settable through morcd job-config overrides).
@@ -41,10 +41,6 @@ type Config struct {
 	// Every is the epoch length in retired instructions summed across
 	// all cores. 0 disables telemetry entirely.
 	Every uint64
-	// MaxEpochs caps the series length (0 = DefaultMaxEpochs). On
-	// overflow the recorder compacts: epochs merge pairwise and Every
-	// doubles.
-	MaxEpochs int
 }
 
 // Enabled reports whether a Recorder should be created at all.

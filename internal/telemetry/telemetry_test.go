@@ -111,31 +111,31 @@ func TestRecorderFinishFoldsTrailingSamples(t *testing.T) {
 
 func TestRecorderCompaction(t *testing.T) {
 	var streamed int
-	r := NewRecorder(Config{Every: 10, MaxEpochs: 4}, "", func(Epoch) { streamed++ })
+	r := NewRecorder(Config{Every: 10}, "", func(Epoch) { streamed++ })
 	r.Begin(sampleAt(0))
-	for i := uint64(1); i <= 8; i++ {
+	for i := uint64(1); i <= maxEpochs+1; i++ {
 		r.Record(sampleAt(i * 10))
 	}
-	s := r.Finish(sampleAt(85))
+	end := uint64(maxEpochs+1)*10 + 5
+	s := r.Finish(sampleAt(end))
 
 	// Every epoch streams at its original grid before compaction folds it:
-	// 8 records plus the final partial epoch Finish emits.
-	if streamed != 9 {
-		t.Errorf("streamed %d epochs, want 9", streamed)
+	// maxEpochs+1 records plus the final partial epoch Finish emits.
+	if streamed != maxEpochs+2 {
+		t.Errorf("streamed %d epochs, want %d", streamed, maxEpochs+2)
 	}
-	// Compaction fires each time the series exceeds 4 epochs, doubling the
-	// grid 10 -> 20 -> 40 -> 80 over the run.
-	if s.Every != 80 {
-		t.Errorf("post-compaction grid %d, want 80", s.Every)
+	// The series exceeded maxEpochs once, so the grid doubled once.
+	if s.Every != 20 {
+		t.Errorf("post-compaction grid %d, want 20", s.Every)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Conservation across merges.
-	if tot := s.Totals(); tot.Instr != 85 || tot.LLCReads != 8 {
+	if tot := s.Totals(); tot.Instr != end || tot.LLCReads != end/10 {
 		t.Errorf("compacted totals %+v do not conserve the window", tot)
 	}
-	if len(s.Epochs) > 4 {
+	if len(s.Epochs) > maxEpochs {
 		t.Errorf("series still holds %d epochs after compaction", len(s.Epochs))
 	}
 }
