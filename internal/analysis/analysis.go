@@ -65,7 +65,6 @@ type Pass interface {
 func AllPasses() []Pass {
 	return []Pass{
 		&LockHold{},
-		&CtxLeak{},
 		&Invariants{},
 		&BoundedGrowth{},
 		&SpanBalance{},

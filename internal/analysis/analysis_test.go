@@ -7,24 +7,36 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"sync"
 	"testing"
 )
 
 // wantRe extracts `want "regexp"` expectations from fixture comments.
 var wantRe = regexp.MustCompile(`want "([^"]+)"`)
 
+// fixtures is the fixture program, loaded once per test binary: no pass
+// changes a Program (the call graph is cached on it, and pass state is
+// keyed by it), so every test can share one.
+var fixtures struct {
+	once sync.Once
+	prog *Program
+	err  error
+}
+
 // loadFixtures loads every package under testdata/src in one program so
 // the standard library is type-checked once for the whole suite.
 func loadFixtures(t *testing.T) *Program {
 	t.Helper()
-	prog, err := Load(filepath.Join("testdata", "src"), "./...")
-	if err != nil {
-		t.Fatal(err)
+	fixtures.once.Do(func() {
+		fixtures.prog, fixtures.err = Load(filepath.Join("testdata", "src"), "./...")
+	})
+	if fixtures.err != nil {
+		t.Fatal(fixtures.err)
 	}
-	for _, terr := range prog.TypeErrors {
+	for _, terr := range fixtures.prog.TypeErrors {
 		t.Errorf("fixture type error: %v", terr)
 	}
-	return prog
+	return fixtures.prog
 }
 
 // TestFixtures runs the full pass suite over the fixture packages and
@@ -155,7 +167,7 @@ func TestPassMetadata(t *testing.T) {
 		}
 		names[p.Name()] = true
 	}
-	want := []string{"lockhold", "ctxleak", "invariants", "boundedgrowth", "spanbalance",
+	want := []string{"lockhold", "invariants", "boundedgrowth", "spanbalance",
 		"dettaint", "lockorder", "hotalloc"}
 	if got := PassNames(AllPasses()); !slices.Equal(got, want) {
 		t.Errorf("AllPasses = %v, want %v", got, want)

@@ -34,12 +34,12 @@ import (
 // are deliberately not classes — object construction allocates by
 // definition and the inventory targets steady-state operations.
 //
-// The pass is an allocation *inventory*, not a correctness check: its
-// findings in the tree are the target list the zero-allocation
-// wire-format work burns down (see ROADMAP). Sites that are semantically
-// required today carry //morclint:ignore hotalloc justifications that
-// double as that list's annotations; the committed allocs/op baselines
-// live in BENCH_alloc.json.
+// The pass is an allocation *inventory*, not a correctness check: a
+// finding is either fixed or carries a //morclint:ignore hotalloc
+// justification saying why the allocation is required (an
+// ownership-transfer copy, a snapshot taken under a lock). The
+// committed allocs/op baselines live in BENCH_alloc.json, and the hard
+// per-site bounds are plain Allocs tests.
 type HotAlloc struct {
 	state map[*Program]map[*Unit][]Finding
 }

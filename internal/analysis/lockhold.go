@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // LockHold guards morcd's liveness: the server's mutexes protect the job
@@ -34,10 +35,9 @@ import (
 // The pass scans internal/server, internal/cluster, and internal/obs
 // (the span store's lock sits on every instrumented request path).
 //
-// The analysis is per-function and flow-approximate: a critical section
-// opens at x.Lock()/x.RLock() (or is function-wide after
-// `defer x.Unlock()`) and closes at the matching Unlock in the same
-// block; nested blocks inherit a copy of the held set.
+// The analysis is per-function and flow-approximate; walkHeld (shared
+// with lockorder) tracks the held set, keyed here by the mutex
+// expression as written ("s.mu").
 type LockHold struct{}
 
 func (*LockHold) Name() string { return "lockhold" }
@@ -51,197 +51,63 @@ func (*LockHold) Scope(prog *Program, u *Unit) bool {
 
 func (l *LockHold) Run(prog *Program, u *Unit) []Finding {
 	var out []Finding
-	report := func(f Finding) { out = append(out, f) }
-	eachFuncDecl(u, func(fd *ast.FuncDecl) {
-		l.checkFunc(u.Info, fd.Body, report)
-	})
-	// Function literals are separate execution contexts: a lock held
-	// where the literal is *defined* is not (necessarily) held when it
-	// runs, and vice versa.
-	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				l.checkFunc(u.Info, lit.Body, report)
+	key := func(recv ast.Expr) (string, bool) { return types.ExprString(recv), true }
+	check := func(body *ast.BlockStmt) {
+		walkHeld(u.Info, body, key, func(n ast.Node, held map[string]bool) {
+			if len(held) == 0 {
+				return
 			}
-			return true
+			if msg := blocking(u.Info, n, strings.Join(heldList(held), ", ")); msg != "" {
+				out = append(out, Finding{Pos: n.Pos(), Message: msg})
+			}
 		})
+	}
+	eachFuncDecl(u, func(fd *ast.FuncDecl) { check(fd.Body) })
+	// Function literals outside any function body (package-level
+	// variables); walkHeld covers the ones inside function bodies.
+	for _, f := range u.Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok {
+				ast.Inspect(gd, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						check(lit.Body)
+						return false
+					}
+					return true
+				})
+			}
+		}
 	}
 	return out
 }
 
-// mutexKey canonicalizes the expression a Lock/Unlock method is called
-// on, so s.mu.Lock() and s.mu.Unlock() pair up.
-func mutexKey(info *types.Info, call *ast.CallExpr) (key string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false
-	}
-	recv := ast.Unparen(sel.X)
-	t := info.Types[recv].Type
-	if t == nil {
-		return "", false
-	}
-	if !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
-		return "", false
-	}
-	return types.ExprString(recv), true
-}
-
-// checkFunc scans one function body, tracking held mutexes linearly
-// through each block.
-func (l *LockHold) checkFunc(info *types.Info, body *ast.BlockStmt, report func(Finding)) {
-	l.scanStmts(info, body.List, map[string]bool{}, report)
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-// scanStmts walks a statement list in order, updating held and flagging
-// blocking operations that occur while any mutex is held.
-func (l *LockHold) scanStmts(info *types.Info, list []ast.Stmt, held map[string]bool, report func(Finding)) {
-	for _, st := range list {
-		l.scanStmt(info, st, held, report)
-	}
-}
-
-func (l *LockHold) scanStmt(info *types.Info, st ast.Stmt, held map[string]bool, report func(Finding)) {
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if key, isMu := mutexKey(info, call); isMu {
-					switch sel.Sel.Name {
-					case "Lock", "RLock":
-						held[key] = true
-						return
-					case "Unlock", "RUnlock":
-						delete(held, key)
-						return
-					}
-				}
-			}
-		}
-		if len(held) > 0 {
-			l.inspectBlocking(info, s.X, held, report)
-		}
-	case *ast.DeferStmt:
-		if key, isMu := mutexKey(info, s.Call); isMu {
-			if sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok &&
-				(sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") {
-				// Held for the rest of the function; the lock itself was
-				// (typically) taken just before. Nothing to do: held
-				// already contains the key from the Lock call.
-				_ = key
-				return
-			}
-		}
-		// The deferred call runs at function exit, when locks taken here
-		// may or may not be held — don't scan it against the current set.
-	case *ast.GoStmt:
-		// Runs concurrently; the spawning goroutine's locks are not held
-		// there. The literal's own body is scanned separately.
-	case *ast.BlockStmt:
-		l.scanStmts(info, s.List, held, report)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			l.scanStmt(info, s.Init, held, report)
-		}
-		if len(held) > 0 && s.Cond != nil {
-			l.inspectBlocking(info, s.Cond, held, report)
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
-		if s.Else != nil {
-			l.scanStmt(info, s.Else, copyHeld(held), report)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			l.scanStmt(info, s.Init, held, report)
-		}
-		if len(held) > 0 && s.Cond != nil {
-			l.inspectBlocking(info, s.Cond, held, report)
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
-	case *ast.RangeStmt:
-		if len(held) > 0 {
-			if t := info.Types[s.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-						"ranges over channel %s while holding %s; the loop blocks until the channel closes", types.ExprString(s.X), heldNames(held))})
-				}
-			}
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
-			}
+// blocking describes how node n can block for unbounded time while hn
+// (the held mutexes) are held, or returns "" if it cannot.
+func blocking(info *types.Info, n ast.Node, hn string) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return fmt.Sprintf("sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(n.Chan), hn)
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return fmt.Sprintf("receives from %s while holding %s", types.ExprString(n.X), hn)
 		}
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+		for _, c := range n.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return "" // a default case makes every communication non-blocking
 			}
 		}
-		if len(held) > 0 && !hasDefault {
-			report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-				"select with no default case blocks while holding %s", heldNames(held))})
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
+		return "select with no default case blocks while holding " + hn
+	case *ast.RangeStmt:
+		if t := info.Types[n.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				return fmt.Sprintf("ranges over channel %s while holding %s; the loop blocks until the channel closes", types.ExprString(n.X), hn)
 			}
 		}
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-				"sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(s.Chan), heldNames(held))})
-		}
-	case *ast.LabeledStmt:
-		l.scanStmt(info, s.Stmt, held, report)
-	default:
-		if len(held) > 0 {
-			l.inspectBlocking(info, st, held, report)
-		}
+	case *ast.CallExpr:
+		return blockingCall(info, n, hn)
 	}
-}
-
-// inspectBlocking walks an arbitrary subtree (no lock-state changes
-// inside) flagging blocking operations. Function literals are skipped —
-// they execute later, outside this critical section.
-func (l *LockHold) inspectBlocking(info *types.Info, root ast.Node, held map[string]bool, report func(Finding)) {
-	hn := heldNames(held)
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			return false // handled (with default detection) by scanStmt
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
-					"receives from %s while holding %s", types.ExprString(n.X), hn)})
-			}
-		case *ast.SendStmt:
-			report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
-				"sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(n.Chan), hn)})
-		case *ast.CallExpr:
-			l.checkBlockingCall(info, n, hn, report)
-		}
-		return true
-	})
+	return ""
 }
 
 // writeMethodNames are io-style methods that push bytes toward their
@@ -250,75 +116,51 @@ var writeMethodNames = map[string]bool{
 	"Write": true, "WriteString": true, "WriteTo": true, "ReadFrom": true,
 }
 
-// checkBlockingCall flags calls that can block for unbounded time.
-func (l *LockHold) checkBlockingCall(info *types.Info, call *ast.CallExpr, hn string, report func(Finding)) {
+// blockingCall describes a call that can block for unbounded time.
+func blockingCall(info *types.Info, call *ast.CallExpr, hn string) string {
 	if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil {
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() == nil {
 			if fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
-				report(Finding{Pos: call.Pos(), Message: "sleeps while holding " + hn})
-				return
+				return "sleeps while holding " + hn
 			}
 			// fmt.Fprint* writing to an interface-typed destination.
 			if fn.Pkg().Path() == "fmt" && len(call.Args) > 0 {
 				switch fn.Name() {
 				case "Fprint", "Fprintf", "Fprintln":
 					if t := info.Types[call.Args[0]].Type; isInterface(t) {
-						report(Finding{Pos: call.Pos(), Message: fmt.Sprintf(
+						return fmt.Sprintf(
 							"fmt.%s writes to an interface-typed destination (%s) while holding %s; render into a bytes.Buffer and write after unlocking",
-							fn.Name(), types.ExprString(call.Args[0]), hn)})
+							fn.Name(), types.ExprString(call.Args[0]), hn)
 					}
-					return
 				}
 			}
-			return
+			return ""
 		}
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return
+		return ""
 	}
 	selection := info.Selections[sel]
 	if selection == nil || selection.Kind() != types.MethodVal {
-		return
+		return ""
 	}
 	recvT := selection.Recv()
 	name := sel.Sel.Name
 	switch {
 	case name == "Flush":
-		report(Finding{Pos: call.Pos(), Message: fmt.Sprintf(
-			"flushes %s while holding %s; a slow client stalls the critical section", types.ExprString(sel.X), hn)})
+		return fmt.Sprintf("flushes %s while holding %s; a slow client stalls the critical section", types.ExprString(sel.X), hn)
 	case name == "Wait" && isNamed(recvT, "sync", "WaitGroup"):
-		report(Finding{Pos: call.Pos(), Message: "waits on a sync.WaitGroup while holding " + hn})
+		return "waits on a sync.WaitGroup while holding " + hn
 	case isNamed(recvT, "net/http", "Client"):
-		report(Finding{Pos: call.Pos(), Message: fmt.Sprintf(
+		return fmt.Sprintf(
 			"performs an HTTP round-trip (%s.%s) while holding %s; snapshot under the lock, do the network call outside, record the outcome back under the lock",
-			types.ExprString(sel.X), name, hn)})
+			types.ExprString(sel.X), name, hn)
 	case writeMethodNames[name] && (isInterface(recvT) || isNamed(recvT, "net", "Conn")):
-		report(Finding{Pos: call.Pos(), Message: fmt.Sprintf(
+		return fmt.Sprintf(
 			"calls %s on interface-typed %s while holding %s; the destination may be a network connection — buffer under the lock, write after unlocking",
-			name, types.ExprString(sel.X), hn)})
+			name, types.ExprString(sel.X), hn)
 	}
-}
-
-// heldNames renders the held-mutex set for messages.
-func heldNames(held map[string]bool) string {
-	if len(held) == 0 {
-		return "no lock"
-	}
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	// Sorted so diagnostics are deterministic (practice what we preach).
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
+	return ""
 }

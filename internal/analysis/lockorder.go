@@ -31,10 +31,11 @@ import (
 // The graph is interprocedural: for every call site executed while
 // locks are held, every lock class the callee may (transitively,
 // following static and interface edges) acquire is ordered after the
-// held classes. Function literals are separate execution contexts for
-// the *held* analysis (a lock held where the literal is defined is not
-// held when it runs), but their acquisitions still count toward the
-// enclosing function's may-acquire summary.
+// held classes. The held sets come from walkHeld (shared with
+// lockhold), keyed here by lock class. Function literals, go calls and
+// deferred calls start with nothing held (a lock held where a literal is
+// defined is not held when it runs), but their acquisitions and calls
+// still count toward the enclosing function's may-acquire summary.
 //
 // Scope: internal/server, internal/cluster, internal/cache, and
 // internal/obs — the layers whose mutexes sit on the job, cluster, and
@@ -109,7 +110,7 @@ func (l *LockOrder) analyze(prog *Program) map[*Unit][]Finding {
 	// package).
 	infos := map[*CGNode]*fnLockInfo{}
 	for _, n := range cg.Nodes() {
-		infos[n] = l.summarize(prog, n)
+		infos[n] = l.summarize(n)
 	}
 
 	// Transitive may-acquire per function (classes only).
@@ -167,8 +168,9 @@ func (l *LockOrder) analyze(prog *Program) map[*Unit][]Finding {
 	}
 
 	// Graph condensation: adjacency over classes, with one representative
-	// edge (first in deterministic order) per (from, to) pair.
-	sort.Slice(edges, func(i, j int) bool {
+	// edge per (from, to) pair: the first by position, and at one call
+	// site the first recorded (the sort is stable).
+	sort.SliceStable(edges, func(i, j int) bool {
 		a, b := edges[i], edges[j]
 		if a.from != b.from {
 			return a.from < b.from
@@ -265,10 +267,11 @@ func findCycle(adj map[string][]string, from, to string) []string {
 	return nil
 }
 
-// summarize scans one function: lock classes acquired (with held-at
-// sets), and call sites (with held-at sets). Function literals restart
-// with an empty held set but contribute to the same summary.
-func (l *LockOrder) summarize(prog *Program, n *CGNode) *fnLockInfo {
+// summarize walks one function: lock classes acquired and call sites,
+// each with the classes held there. Function literals, go calls and
+// deferred calls are walked with nothing held but contribute to the
+// same summary.
+func (l *LockOrder) summarize(n *CGNode) *fnLockInfo {
 	info := &fnLockInfo{}
 	u := n.Unit
 
@@ -281,174 +284,38 @@ func (l *LockOrder) summarize(prog *Program, n *CGNode) *fnLockInfo {
 		}
 	}
 
-	heldList := func(held map[string]bool) []string {
-		if len(held) == 0 {
-			return nil
-		}
-		out := make([]string, 0, len(held))
-		for h := range held {
-			out = append(out, h)
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	var scanStmts func(list []ast.Stmt, held map[string]bool)
-	var scanStmt func(st ast.Stmt, held map[string]bool)
-
-	// scanExpr records call sites (and nested lock ops do not occur in
-	// expressions — Lock() as an expression statement is the idiom).
-	scanExpr := func(e ast.Node, held map[string]bool) {
-		if e == nil {
+	key := func(recv ast.Expr) (string, bool) { return lockClassOf(u.Info, recv) }
+	walkHeld(u.Info, n.Decl.Body, key, func(nd ast.Node, held map[string]bool) {
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
 			return
 		}
-		ast.Inspect(e, func(nd ast.Node) bool {
-			switch nd := nd.(type) {
-			case *ast.FuncLit:
-				// Separate execution context: scan with no held locks.
-				scanStmts(nd.Body.List, map[string]bool{})
-				return false
-			case *ast.CallExpr:
-				for _, edge := range edgesAt[nd.Pos()] {
-					info.calls = append(info.calls, lockCall{
-						callee: edge.Callee, pos: nd.Pos(), held: heldList(held),
-					})
-				}
+		if recv, acquire, ok := mutexCall(u.Info, call); ok {
+			if cls, ok := key(recv); ok && acquire {
+				info.acqs = append(info.acqs, lockAcq{class: cls, pos: call.Pos(), held: heldList(held)})
 			}
-			return true
-		})
-	}
-
-	scanStmt = func(st ast.Stmt, held map[string]bool) {
-		switch s := st.(type) {
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-				if cls, op, ok := lockClassOf(prog, u.Info, call); ok {
-					switch op {
-					case "Lock", "RLock":
-						info.acqs = append(info.acqs, lockAcq{class: cls, pos: call.Pos(), held: heldList(held)})
-						held[cls] = true
-						return
-					case "Unlock", "RUnlock":
-						delete(held, cls)
-						return
-					}
-				}
-			}
-			scanExpr(s.X, held)
-		case *ast.DeferStmt:
-			// defer x.Unlock(): the lock stays held for the rest of the
-			// function (the Lock call above already recorded it). Other
-			// deferred calls run at exit with unknowable held sets — skip.
-		case *ast.GoStmt:
-			// Concurrent: spawning goroutine's locks are not held there,
-			// but the spawned body's acquisitions belong to this summary.
-			scanExpr(s.Call.Fun, map[string]bool{})
-			for _, a := range s.Call.Args {
-				scanExpr(a, map[string]bool{})
-			}
-			for _, edge := range edgesAt[s.Call.Pos()] {
-				info.calls = append(info.calls, lockCall{callee: edge.Callee, pos: s.Call.Pos(), held: nil})
-			}
-		case *ast.BlockStmt:
-			scanStmts(s.List, held)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Cond, held)
-			scanStmts(s.Body.List, copyHeld(held))
-			if s.Else != nil {
-				scanStmt(s.Else, copyHeld(held))
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Cond, held)
-			scanStmts(s.Body.List, copyHeld(held))
-			if s.Post != nil {
-				scanStmt(s.Post, copyHeld(held))
-			}
-		case *ast.RangeStmt:
-			scanExpr(s.X, held)
-			scanStmts(s.Body.List, copyHeld(held))
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Tag, held)
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.LabeledStmt:
-			scanStmt(s.Stmt, held)
-		case *ast.AssignStmt:
-			for _, r := range s.Rhs {
-				scanExpr(r, held)
-			}
-			for _, lh := range s.Lhs {
-				scanExpr(lh, held)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				scanExpr(r, held)
-			}
-		default:
-			scanExpr(st, held)
+			return
 		}
-	}
-	scanStmts = func(list []ast.Stmt, held map[string]bool) {
-		for _, st := range list {
-			scanStmt(st, held)
+		for _, edge := range edgesAt[call.Pos()] {
+			info.calls = append(info.calls, lockCall{callee: edge.Callee, pos: call.Pos(), held: heldList(held)})
 		}
-	}
-	scanStmts(n.Decl.Body.List, map[string]bool{})
+	})
 	return info
 }
 
-// lockClassOf canonicalizes a Lock/RLock/Unlock/RUnlock call's receiver
-// to its lock class, or ok == false for non-mutex calls and
+// lockClassOf canonicalizes a mutex expression (the receiver of a
+// Lock/Unlock call) to its lock class, or ok == false for
 // function-local mutexes.
-func lockClassOf(prog *Program, info *types.Info, call *ast.CallExpr) (class, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	recv := ast.Unparen(sel.X)
-	t := info.Types[recv].Type
-	if t == nil || (!isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex")) {
-		return "", "", false
-	}
-
+func lockClassOf(info *types.Info, recv ast.Expr) (class string, ok bool) {
 	// Walk to the field selection naming the mutex: x.mu, x.mus[i],
 	// pkgvar.mu, or a bare package-level mu.
 	switch x := recv.(type) {
 	case *ast.Ident:
 		obj := usedObject(info, x)
 		if v, isVar := obj.(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return shortPkg(v.Pkg().Path()) + "." + v.Name(), sel.Sel.Name, true
+			return shortPkg(v.Pkg().Path()) + "." + v.Name(), true
 		}
-		return "", "", false // function-local mutex
+		return "", false // function-local mutex
 	default:
 		// Find the innermost field selector (strip indexing: all elements
 		// of one mutex array/slice field are one class).
@@ -465,19 +332,18 @@ func lockClassOf(prog *Program, info *types.Info, call *ast.CallExpr) (class, op
 				if fieldSel := info.Selections[x]; fieldSel != nil && fieldSel.Kind() == types.FieldVal {
 					owner := namedType(fieldSel.Recv())
 					if owner != nil && owner.Obj().Pkg() != nil {
-						return shortPkg(owner.Obj().Pkg().Path()) + "." + owner.Obj().Name() + "." + x.Sel.Name,
-							sel.Sel.Name, true
+						return shortPkg(owner.Obj().Pkg().Path()) + "." + owner.Obj().Name() + "." + x.Sel.Name, true
 					}
 				}
 				// Package-qualified var: pkg.mu.
 				if obj := usedObject(info, x.Sel); obj != nil {
 					if v, isVar := obj.(*types.Var); isVar && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-						return shortPkg(v.Pkg().Path()) + "." + v.Name(), sel.Sel.Name, true
+						return shortPkg(v.Pkg().Path()) + "." + v.Name(), true
 					}
 				}
-				return "", "", false
+				return "", false
 			default:
-				return "", "", false
+				return "", false
 			}
 		}
 	}

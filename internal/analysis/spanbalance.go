@@ -10,7 +10,7 @@ import (
 // documents: every started span must be ended on all paths. A span is
 // committed to the store the moment it starts, so one that can never be
 // ended exports forever as "open" and skews every duration rollup. The
-// accepted patterns mirror ctxleak's:
+// accepted patterns are:
 //
 //   - defer sp.End() (directly, inside a deferred func literal, or as a
 //     deferred call's argument);
@@ -92,9 +92,7 @@ func isStartSpan(call *ast.CallExpr) bool {
 }
 
 // spanHandled reports whether the span object is deferred-ended or
-// escapes to a longer-lived owner anywhere in the function body. The
-// shape mirrors ctxleak's cancelHandled, plus the defer-method form
-// (`defer sp.End()`) that cancel funcs don't have.
+// escapes to a longer-lived owner anywhere in the function body.
 func spanHandled(info *types.Info, body *ast.BlockStmt, obj types.Object, def *ast.Ident) bool {
 	handled := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -165,4 +163,16 @@ func spanHandled(info *types.Info, body *ast.BlockStmt, obj types.Object, def *a
 		return true
 	})
 	return handled
+}
+
+// refersTo reports whether expr mentions obj.
+func refersTo(info *types.Info, expr ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && usedObject(info, id) == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -71,3 +71,18 @@ func (s *srv) goroutineEscapesCriticalSection(w io.Writer) {
 	}()
 	s.mu.Unlock()
 }
+
+func (s *srv) receiveInSwitchTag() {
+	s.mu.Lock()
+	switch <-s.ch { // want "receives from s.ch while holding s.mu"
+	case 0:
+	}
+	s.mu.Unlock()
+}
+
+func (s *srv) receiveInForPost() {
+	s.mu.Lock()
+	for i := 0; i < 3; i += <-s.ch { // want "receives from s.ch while holding s.mu"
+	}
+	s.mu.Unlock()
+}

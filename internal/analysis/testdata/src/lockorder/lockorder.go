@@ -1,7 +1,7 @@
 // Package lockorder is a morclint fixture for the lock-ordering pass:
-// an AB-BA cycle, an interprocedural lock-acquired-twice path, and the
-// shapes the pass must stay quiet about (sequential acquisition,
-// function-local mutexes, goroutine bodies).
+// an AB-BA cycle, interprocedural lock-acquired-twice paths (one through
+// a deferred literal), and the shapes the pass must stay quiet about
+// (sequential acquisition, function-local mutexes, goroutine bodies).
 package lockorder
 
 import "sync"
@@ -74,4 +74,25 @@ func (p *pair) spawn() {
 		p.b.Unlock()
 	}()
 	p.a.Unlock()
+}
+
+type deferred struct {
+	mu sync.Mutex
+	n  int
+}
+
+// flush holds its lock across a helper whose deferred literal takes the
+// same lock: the deferred body runs while flush still holds it.
+func (d *deferred) flush() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.count() // want "lock-acquired-twice path on lockorder.deferred.mu"
+}
+
+func (d *deferred) count() {
+	defer func() {
+		d.mu.Lock()
+		d.n++
+		d.mu.Unlock()
+	}()
 }

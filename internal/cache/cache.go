@@ -31,11 +31,11 @@ type Writeback struct {
 
 // CloneLine returns a private copy of a line payload. Cache structures
 // retain line data past the call that delivered it while callers keep
-// mutating their buffers, so every ownership transfer copies today.
-// All hot-path line copies funnel through here so the planned pooled
-// line-buffer work has a single site to replace.
+// mutating their buffers, so every ownership transfer copies. All
+// hot-path line copies funnel through here, and TestCloneLineAllocs
+// holds each copy to exactly 1 allocation.
 func CloneLine(data []byte) []byte {
-	//morclint:ignore hotalloc ownership-transfer copy; the single funnel the pooled line-buffer work will replace
+	//morclint:ignore hotalloc ownership-transfer copy: the cache keeps the line while the caller reuses its buffer; TestCloneLineAllocs pins it at 1 alloc
 	return append([]byte(nil), data...)
 }
 
