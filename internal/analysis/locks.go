@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"maps"
 	"sort"
@@ -20,9 +21,11 @@ import (
 //   - `defer x.Unlock()` keeps the mutex held to the end of the body;
 //   - the branches of if/for/range/switch/select get a copy of the held
 //     set, while a bare block and a labeled statement share it;
-//   - a select or range statement is visited whole before its body, and
-//     a select's communication clauses are not visited separately (the
-//     select statement stands for them);
+//   - a select or range statement is visited whole before its body; a
+//     select's communications are not visited (the select statement
+//     stands for them), but their operands are, since a send's channel
+//     and value and a receive's channel are evaluated under the held set
+//     before the select blocks;
 //   - function literals, go calls and deferred calls are walked with
 //     nothing held: they run in another goroutine or at function exit.
 func walkHeld(info *types.Info, body *ast.BlockStmt, key func(recv ast.Expr) (string, bool), visit func(n ast.Node, held map[string]bool)) {
@@ -81,7 +84,9 @@ func (w *heldWalker) stmt(s ast.Stmt, held map[string]bool) {
 	case *ast.SelectStmt:
 		w.visit(s, held)
 		for _, c := range s.Body.List {
-			w.stmts(c.(*ast.CommClause).Body, maps.Clone(held))
+			cc := c.(*ast.CommClause)
+			w.comm(cc.Comm, held)
+			w.stmts(cc.Body, maps.Clone(held))
 		}
 	case *ast.GoStmt:
 		w.visit(s, held)
@@ -111,6 +116,28 @@ func (w *heldWalker) stmt(s ast.Stmt, held map[string]bool) {
 func (w *heldWalker) opt(s ast.Stmt, held map[string]bool) {
 	if s != nil {
 		w.stmt(s, held)
+	}
+}
+
+// comm walks a select clause's communication without visiting the
+// send or receive itself: the send's channel and value, or the
+// receive's channel operand and assignment targets.
+func (w *heldWalker) comm(s ast.Stmt, held map[string]bool) {
+	var recv ast.Expr
+	switch s := s.(type) {
+	case *ast.SendStmt:
+		w.node(s.Chan, held)
+		w.node(s.Value, held)
+	case *ast.ExprStmt:
+		recv = s.X
+	case *ast.AssignStmt:
+		for _, e := range s.Lhs {
+			w.node(e, held)
+		}
+		recv = s.Rhs[0]
+	}
+	if u, ok := ast.Unparen(recv).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		w.node(u.X, held)
 	}
 }
 

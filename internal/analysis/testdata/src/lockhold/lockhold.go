@@ -86,3 +86,16 @@ func (s *srv) receiveInForPost() {
 	}
 	s.mu.Unlock()
 }
+
+func f(v int) int { return v }
+
+// The select's own send is non-blocking (default case), but its operands
+// are evaluated under the lock before the select runs.
+func (s *srv) receiveInSelectOperand() {
+	s.mu.Lock()
+	select {
+	case s.ch <- f(<-s.ch): // want "receives from s.ch while holding s.mu"
+	default:
+	}
+	s.mu.Unlock()
+}

@@ -96,3 +96,25 @@ func (d *deferred) count() {
 		d.mu.Unlock()
 	}()
 }
+
+type sel struct {
+	mu sync.Mutex
+	ch chan int
+}
+
+// send evaluates its select operands under s.mu, and f takes s.mu
+// again.
+func (s *sel) send() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.ch <- s.f(<-s.ch): // want "lock-acquired-twice path on lockorder.sel.mu"
+	default:
+	}
+}
+
+func (s *sel) f(v int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return v
+}

@@ -35,6 +35,7 @@ func TestAdmissionRejectsRemovedKnobs(t *testing.T) {
 		{`{"workload":"gcc","config":{"Parallelism":2}}`, "Parallelism"},
 		{`{"workload":"gcc","config":{"Telemetry":{"MaxEpochs":8}}}`, "MaxEpochs"},
 		{`{"workload":"gcc","config":{"MORCConfig":{"LogReplacement":1}}}`, "LogReplacement"},
+		{`{"workload":"gcc","config":{"Threads":2}}`, "Threads"},
 	}
 	for _, target := range []struct{ name, url string }{
 		{"morcd", direct.URL},

@@ -13,9 +13,10 @@
 //     exactly once per failure (the job's epoch increments), and any
 //     result the old peer later delivers loses the fence and is
 //     discarded deterministically;
-//   - job status, cancel, SSE event streams, and telemetry timeseries
-//     are proxied to the owning peer — streams byte-for-byte, so a
-//     client cannot tell a coordinator from the worker behind it.
+//   - SSE event streams and telemetry timeseries are proxied to the
+//     owning peer byte-for-byte, and cancels are forwarded to it, so a
+//     client cannot tell a coordinator from the worker behind it; job
+//     status is served from the view the job's runner keeps current.
 //
 // morcd simulations are pure functions of (spec), so a sweep submitted
 // to a coordinator returns results byte-identical to a single-node run
@@ -28,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,11 +140,14 @@ type Coordinator struct {
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*cjob
-	order  []string
-	nextID uint64
-	closed bool
+	// The job table, bounded like morcd's: every unfinished job and the
+	// latest server.MaxFinishedJobs finished ones, which finished lists
+	// oldest first.
+	mu       sync.Mutex
+	jobs     map[string]*cjob
+	finished []string
+	issued   uint64
+	closed   bool
 }
 
 // New builds a Coordinator, admits the seed peers, and starts their
@@ -210,57 +216,45 @@ func (c *Coordinator) SubmitTraced(spec server.JobSpec, parent obs.SpanContext, 
 		c.tracer.SynthesizeRoot(parent, "client", "client.submit")
 	}
 	span := c.tracer.StartSpan(parent, "job")
-	span.SetAttr("kind", schemeLabel(spec))
+	span.SetAttr("kind", spec.Label())
 	queueSp := span.StartSpan("queue")
 
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		queueSp.End()
-		span.SetAttr("status", "rejected")
-		span.End()
-		return nil, server.ErrShuttingDown
+	j := newCJob(server.JobID("c", c.issued+1), spec, span, queueSp)
+	var err error
+	switch {
+	case c.closed:
+		err = server.ErrShuttingDown
+	case !c.q.push(j):
+		// Backpressure, like morcd's queue; the rejected job takes no ID.
+		err = server.ErrQueueFull
+	default:
+		c.issued++
+		c.jobs[j.id] = j
 	}
-	c.nextID++
-	j := newCJob(fmt.Sprintf("c%06d", c.nextID), spec, span, queueSp)
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
 	c.mu.Unlock()
-
-	if !c.q.push(j) {
-		// Reject and forget the job: backpressure, like morcd's queue.
-		c.mu.Lock()
-		delete(c.jobs, j.id)
-		c.order = c.order[:len(c.order)-1]
-		c.mu.Unlock()
-		c.metrics.rejected()
+	if err != nil {
+		if err == server.ErrQueueFull {
+			c.metrics.rejected()
+		}
 		queueSp.End()
 		span.SetAttr("status", "rejected")
 		span.End()
-		return nil, server.ErrQueueFull
+		return nil, err
 	}
 	c.metrics.submitted()
 	c.log.Info("job queued", "job", j.id, "trace", j.traceID.String())
 	return j, nil
 }
 
-// schemeLabel mirrors the single-node server's job-kind label.
-func schemeLabel(sp server.JobSpec) string {
-	if sp.Experiment != "" {
-		return "exp:" + sp.Experiment
-	}
-	return sp.Scheme.String()
-}
-
-// Trace exports a cluster job's full span tree: the coordinator's own
+// trace exports a cluster job's full span tree: the coordinator's own
 // spans (submit, queue, dispatch attempts) merged with the owning peer's
 // (job, queue, run, sim phases), which share the trace ID via
 // traceparent propagation on dispatch. When the peer cannot be reached —
 // job still pending, peer ejected — the coordinator half is returned
 // alone rather than failing the export.
-func (c *Coordinator) Trace(id string) (obs.TraceExport, bool) {
-	j, ok := c.Job(id)
-	if !ok || j.traceID.IsZero() {
+func (c *Coordinator) trace(j *cjob) (obs.TraceExport, bool) {
+	if j.traceID.IsZero() {
 		return obs.TraceExport{}, false
 	}
 	te, ok := c.spans.Export(j.traceID)
@@ -304,27 +298,51 @@ func (c *Coordinator) Job(id string) (*cjob, bool) {
 	return j, ok
 }
 
-// Jobs returns all jobs in submission order.
+// find is Job for a request handler: when the table does not hold id
+// it answers 404, or 410 for an evicted job, itself.
+func (c *Coordinator) find(w http.ResponseWriter, id string) (*cjob, bool) {
+	c.mu.Lock()
+	j, ok := c.jobs[id]
+	issued := c.issued
+	c.mu.Unlock()
+	if !ok {
+		server.WriteNoJob(w, id, "c", issued)
+	}
+	return j, ok
+}
+
+// Jobs returns the jobs the table holds, in submission order.
 func (c *Coordinator) Jobs() []*cjob {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
+	out := make([]*cjob, 0, len(c.jobs))
+	for _, j := range c.jobs {
+		out = append(out, j)
 	}
+	c.mu.Unlock()
+	slices.SortFunc(out, func(a, b *cjob) int { return server.CompareJobIDs(a.id, b.id) })
 	return out
 }
 
-// Cancel requests cancellation of a job; ok reports whether it exists.
-func (c *Coordinator) Cancel(id string) (*cjob, bool) {
-	j, ok := c.Job(id)
-	if !ok {
-		return nil, false
+// finish accounts a job that just reached terminal state st, evicting
+// the oldest finished job once the table holds more than
+// server.MaxFinishedJobs.
+func (c *Coordinator) finish(j *cjob, st server.Status) {
+	c.metrics.finished(st)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.finished = append(c.finished, j.id)
+	if len(c.finished) > server.MaxFinishedJobs {
+		delete(c.jobs, c.finished[0])
+		c.finished = c.finished[1:]
 	}
+}
+
+// Cancel requests cancellation of a job.
+func (c *Coordinator) Cancel(j *cjob) {
 	act, peerURL, remoteID := j.requestCancel()
 	switch act {
 	case cancelFinished:
-		c.metrics.finished(server.StatusCancelled)
+		c.finish(j, server.StatusCancelled)
 		c.log.Info("job cancelled while pending", "job", j.id)
 	case cancelRemote:
 		if cl := c.reg.clientFor(peerURL); cl != nil {
@@ -335,7 +353,6 @@ func (c *Coordinator) Cancel(id string) (*cjob, bool) {
 			}
 		}
 	}
-	return j, true
 }
 
 // QueueDepth is the number of pending (undispatched) jobs.
@@ -458,7 +475,7 @@ func (c *Coordinator) runOne(peerURL string, j *cjob) {
 			continue
 		}
 		if j.adopt(epoch, rv) {
-			c.metrics.finished(rv.Status)
+			c.finish(j, rv.Status)
 			c.log.Info("job finished", "job", j.id, "peer", peerURL, "status", string(rv.Status))
 		} else {
 			c.reg.lateResult(peerURL)
@@ -477,7 +494,7 @@ func (c *Coordinator) runOne(peerURL string, j *cjob) {
 func (c *Coordinator) requeueOrFail(j *cjob, epoch uint64, reason string) {
 	ok, finishedAs, fromPeer := j.requeue(epoch, c.cfg.MaxRequeues, reason)
 	if finishedAs != "" {
-		c.metrics.finished(finishedAs)
+		c.finish(j, finishedAs)
 		c.log.Warn("job finished during failover", "job", j.id, "status", string(finishedAs), "reason", reason)
 		return
 	}
@@ -502,15 +519,12 @@ func (c *Coordinator) failPeer(peerURL string) {
 		remoteID string
 	}
 	var take []owned
-	c.mu.Lock()
-	for _, id := range c.order {
-		j := c.jobs[id]
+	for _, j := range c.Jobs() {
 		p, remoteID, epoch, _, terminal := j.placement()
 		if !terminal && p == peerURL {
 			take = append(take, owned{j: j, epoch: epoch, remoteID: remoteID})
 		}
 	}
-	c.mu.Unlock()
 	for _, o := range take {
 		c.requeueOrFail(o.j, o.epoch, fmt.Sprintf("peer %s ejected", peerURL))
 		if o.remoteID != "" {
@@ -577,7 +591,7 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// Shutdown stops accepting jobs, waits for outstanding jobs to reach a
+// Shutdown stops accepting jobs, waits for every held job to reach a
 // terminal state until ctx expires, then tears down the runners. Jobs
 // already running on peers keep running there; only coordination stops.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
@@ -586,33 +600,17 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Unlock()
 
 	var err error
-drain:
-	for c.outstanding() > 0 {
+	for _, j := range c.Jobs() {
 		select {
+		case <-j.done:
 		case <-ctx.Done():
 			err = ctx.Err()
-			break drain
-		case <-time.After(50 * time.Millisecond):
+		}
+		if err != nil {
+			break
 		}
 	}
 	c.stop()
 	c.wg.Wait()
 	return err
-}
-
-// outstanding counts jobs that have not reached a terminal state.
-func (c *Coordinator) outstanding() int {
-	c.mu.Lock()
-	jobs := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		jobs = append(jobs, c.jobs[id])
-	}
-	c.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
-		if !j.isTerminal() {
-			n++
-		}
-	}
-	return n
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -565,5 +566,80 @@ func TestShutdownRejectsNewJobs(t *testing.T) {
 	apiErr, ok := err.(*client.APIError)
 	if !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit after shutdown err = %v, want HTTP 503", err)
+	}
+}
+
+// TestJobTableBounded finishes three times server.MaxFinishedJobs jobs
+// through a coordinator fronting a stub peer that finishes each job at
+// its first poll: the table then holds only the latest MaxFinishedJobs,
+// an early ID answers 410 while a never-issued one stays 404, and the
+// post-GC heap does not grow with the jobs beyond the bound.
+func TestJobTableBounded(t *testing.T) {
+	payload := strings.Repeat("x", 8<<10) // each finished view retains 8 KB
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+		case r.Method == http.MethodPost:
+			server.WriteJSON(w, http.StatusAccepted, server.JobView{ID: "j000001", Status: server.StatusQueued})
+		default:
+			server.WriteJSON(w, http.StatusOK, server.JobView{ID: "j000001", Status: server.StatusDone, Error: payload})
+		}
+	}))
+	t.Cleanup(peer.Close)
+	cfg := testClusterCfg(peer.URL)
+	cfg.SlotsPerPeer = 4
+	cfg.PollInterval = time.Millisecond
+	c, ts := startCoordinator(t, cfg)
+	run := func(n int) {
+		for ; n > 0; n -= 64 {
+			jobs := make([]*cjob, 64)
+			for i := range jobs {
+				j, err := c.Submit(fastSpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs[i] = j
+			}
+			for _, j := range jobs {
+				<-j.done
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	empty := heap()
+	run(server.MaxFinishedJobs)
+	full := heap()
+	run(2 * server.MaxFinishedJobs)
+	after := heap()
+	t.Logf("post-GC heap: %d bytes empty, %d at the bound, %d at three times it", empty, full, after)
+	if n := len(c.Jobs()); n != server.MaxFinishedJobs {
+		t.Fatalf("table holds %d jobs, want %d", n, server.MaxFinishedJobs)
+	}
+	// Unbounded, the last 2×MaxFinishedJobs jobs would add twice what
+	// the first MaxFinishedJobs did; allow a quarter of that as noise.
+	if after > full && after-full > (full-empty)/2 {
+		t.Fatalf("post-GC heap grew from %d to %d bytes past the bound (%d before any job)", full, after, empty)
+	}
+
+	for id, want := range map[string]int{
+		"c000001": http.StatusGone,
+		server.JobID("c", 3*server.MaxFinishedJobs):   http.StatusOK,
+		server.JobID("c", 3*server.MaxFinishedJobs+1): http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: HTTP %d, want %d", id, resp.StatusCode, want)
+		}
 	}
 }

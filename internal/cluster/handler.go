@@ -41,48 +41,14 @@ func (c *Coordinator) Handler() http.Handler {
 	return server.LogRequests(c.log, mux)
 }
 
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, apiError{Error: err.Error()})
-}
-
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// A traceparent header links the cluster job into the caller's
-	// trace, exactly as on a single morcd (a client cannot tell the two
-	// apart).
-	parent, _ := obs.Extract(r.Header)
-	j, err := c.SubmitTraced(spec, parent, obs.ClientMarked(r.Header))
-	switch {
-	case errors.Is(err, server.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, server.ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.serveView())
+	server.ServeSubmit(w, r, func(spec server.JobSpec, parent obs.SpanContext, synthesizeClient bool) (server.JobView, error) {
+		j, err := c.SubmitTraced(spec, parent, synthesizeClient)
+		if err != nil {
+			return server.JobView{}, err
+		}
+		return j.serveView(), nil
+	})
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -91,27 +57,28 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		views = append(views, j.serveView())
 	}
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Jobs []server.JobView `json:"jobs"`
 	}{views})
 }
 
+// handleJob serves the job's cached view; the runner polling the owning
+// peer keeps it current.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.Job(r.PathValue("id"))
+	j, ok := c.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.serveView())
+	server.WriteJSON(w, http.StatusOK, j.serveView())
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.Cancel(r.PathValue("id"))
+	j, ok := c.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.serveView())
+	c.Cancel(j)
+	server.WriteJSON(w, http.StatusOK, j.serveView())
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -121,23 +88,23 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, http.StatusBadRequest, errors.New("url must be an absolute http(s) base URL"))
+		server.WriteError(w, http.StatusBadRequest, errors.New("url must be an absolute http(s) base URL"))
 		return
 	}
 	added := c.AddPeer(strings.TrimSuffix(req.URL, "/"))
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Added bool       `json:"added"`
 		Peers []PeerView `json:"peers"`
 	}{added, c.Peers()})
 }
 
 func (c *Coordinator) handlePeers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Peers []PeerView `json:"peers"`
 	}{c.Peers()})
 }
@@ -146,9 +113,13 @@ func (c *Coordinator) handlePeers(w http.ResponseWriter, r *http.Request) {
 // merged with the owning peer's, as JSON or NDJSON (?format=ndjson) —
 // the same surface a single morcd serves.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	te, ok := c.Trace(r.PathValue("id"))
+	j, ok := c.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
+		return
+	}
+	te, ok := c.trace(j)
+	if !ok {
+		server.WriteError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	if r.URL.Query().Get("format") == "ndjson" {
@@ -161,7 +132,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleOverview(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Overview())
+	server.WriteJSON(w, http.StatusOK, c.Overview())
 }
 
 // PlacementView is the JSON shape of GET /v1/cluster/jobs/{id}: where a
@@ -176,13 +147,12 @@ type PlacementView struct {
 }
 
 func (c *Coordinator) handlePlacement(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.Job(r.PathValue("id"))
+	j, ok := c.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	peer, remoteID, epoch, requeues, terminal := j.placement()
-	writeJSON(w, http.StatusOK, PlacementView{
+	server.WriteJSON(w, http.StatusOK, PlacementView{
 		ID: j.id, Peer: peer, RemoteID: remoteID,
 		Epoch: epoch, Requeues: requeues, Terminal: terminal,
 	})
@@ -204,9 +174,8 @@ const dispatchWait = 30 * time.Second
 // pending, the proxy waits briefly for placement.
 func (c *Coordinator) proxyHandler(suffix string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		j, ok := c.Job(r.PathValue("id"))
+		j, ok := c.find(w, r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, errors.New("no such job"))
 			return
 		}
 		peerURL, remoteID, ok := c.awaitPlacement(w, r, j)
@@ -219,7 +188,7 @@ func (c *Coordinator) proxyHandler(suffix string) http.HandlerFunc {
 		}
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			server.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		// Trace context crosses the proxy hop too, so even byte-verbatim
@@ -229,7 +198,7 @@ func (c *Coordinator) proxyHandler(suffix string) http.HandlerFunc {
 		// the job runs, bounded by the request context instead.
 		resp, err := (&http.Client{}).Do(req)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, err)
+			server.WriteError(w, http.StatusBadGateway, err)
 			return
 		}
 		defer resp.Body.Close()
@@ -266,27 +235,29 @@ func streamBody(w http.ResponseWriter, src io.Reader) {
 }
 
 // awaitPlacement resolves the peer and remote ID serving the job,
-// waiting for dispatch when it is still queued. False means an error
-// response was already written (or the client went away).
+// waiting for dispatch when it is still queued: it wakes on the job's
+// signal (bind, requeue, terminal) and gives up after dispatchWait.
+// False means an error response was already written (or the client went
+// away).
 func (c *Coordinator) awaitPlacement(w http.ResponseWriter, r *http.Request, j *cjob) (peerURL, remoteID string, ok bool) {
-	deadline := time.Now().Add(dispatchWait)
+	timeout := time.NewTimer(dispatchWait)
+	defer timeout.Stop()
 	for {
-		peer, remote, _, _, terminal := j.placement()
+		peer, remote, terminal, changed := j.await()
 		if peer != "" && remote != "" {
 			return peer, remote, true
 		}
 		if terminal {
 			// Finished without ever reaching a peer (cancelled while
 			// pending, or failed over to death): there is no stream.
-			writeError(w, http.StatusNotFound, errors.New("job never ran on a peer"))
-			return "", "", false
-		}
-		if time.Now().After(deadline) {
-			writeError(w, http.StatusServiceUnavailable, errors.New("job not dispatched yet"))
+			server.WriteError(w, http.StatusNotFound, errors.New("job never ran on a peer"))
 			return "", "", false
 		}
 		select {
-		case <-time.After(25 * time.Millisecond):
+		case <-changed:
+		case <-timeout.C:
+			server.WriteError(w, http.StatusServiceUnavailable, errors.New("job not dispatched yet"))
+			return "", "", false
 		case <-r.Context().Done():
 			return "", "", false
 		}

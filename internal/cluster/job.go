@@ -34,6 +34,7 @@ type cjob struct {
 	terminal  bool
 	view      server.JobView // last known view (remote ID; rewritten when served)
 	done      chan struct{}
+	changed   server.Signal // fires on bind, requeue and the terminal transition
 
 	// Tracing: the coordinator-side half of the job's trace. span is the
 	// root, queueSp covers time in the pending queue, dispatchSp one
@@ -100,6 +101,7 @@ func (j *cjob) bind(epoch uint64, remoteID string, v server.JobView) bool {
 	}
 	j.remoteID = remoteID
 	j.view = v
+	j.changed.Notify()
 	return true
 }
 
@@ -113,15 +115,20 @@ func (j *cjob) updateView(epoch uint64, v server.JobView) {
 	j.view = v
 }
 
-// endSpansLocked closes every open coordinator-side span as the job
-// reaches terminal state st. Callers hold j.mu.
-func (j *cjob) endSpansLocked(st server.Status) {
+// endLocked moves the job to the terminal view v: it closes every open
+// coordinator-side span, closes done and fires changed. Callers hold
+// j.mu.
+func (j *cjob) endLocked(v server.JobView) {
+	j.terminal = true
+	j.view = v
 	j.dispatchSp.End()
 	j.dispatchSp = nil
 	j.queueSp.End()
 	j.queueSp = nil
-	j.span.SetAttr("status", string(st))
+	j.span.SetAttr("status", string(v.Status))
 	j.span.End()
+	close(j.done)
+	j.changed.Notify()
 }
 
 // adopt lands a terminal remote view. False means the result lost the
@@ -133,10 +140,7 @@ func (j *cjob) adopt(epoch uint64, v server.JobView) bool {
 	if j.terminal || epoch != j.epoch {
 		return false
 	}
-	j.terminal = true
-	j.view = v
-	j.endSpansLocked(v.Status)
-	close(j.done)
+	j.endLocked(v)
 	return true
 }
 
@@ -164,25 +168,20 @@ func (j *cjob) requeue(epoch uint64, maxRequeues int, reason string) (ok bool, f
 	j.dispatchSp.End()
 	j.dispatchSp = nil
 	if j.requeues > maxRequeues {
-		j.terminal = true
 		v := j.pendingViewLocked(server.StatusFailed)
 		v.Error = "job failed over too many times: " + reason
-		j.view = v
-		j.endSpansLocked(server.StatusFailed)
-		close(j.done)
+		j.endLocked(v)
 		return false, server.StatusFailed, fromPeer
 	}
 	if j.cancelled {
 		// Cancel raced the failover: finish as cancelled instead of
 		// re-dispatching work nobody wants.
-		j.terminal = true
-		j.view = j.pendingViewLocked(server.StatusCancelled)
-		j.endSpansLocked(server.StatusCancelled)
-		close(j.done)
+		j.endLocked(j.pendingViewLocked(server.StatusCancelled))
 		return false, server.StatusCancelled, fromPeer
 	}
 	j.view = j.pendingViewLocked(server.StatusQueued)
 	j.queueSp = j.span.StartSpan("queue")
+	j.changed.Notify()
 	return true, "", fromPeer
 }
 
@@ -205,10 +204,7 @@ func (j *cjob) requestCancel() (act cancelAction, peerURL, remoteID string) {
 		return cancelNone, "", ""
 	case j.peer == "":
 		j.cancelled = true
-		j.terminal = true
-		j.view = j.pendingViewLocked(server.StatusCancelled)
-		j.endSpansLocked(server.StatusCancelled)
-		close(j.done)
+		j.endLocked(j.pendingViewLocked(server.StatusCancelled))
 		return cancelFinished, "", ""
 	case j.remoteID == "":
 		j.cancelled = true
@@ -225,6 +221,14 @@ func (j *cjob) placement() (peerURL, remoteID string, epoch uint64, requeues int
 	return j.peer, j.remoteID, j.epoch, j.requeues, j.terminal
 }
 
+// await snapshots the job's placement for a waiter, with a channel
+// closed at its next bind, requeue or terminal transition.
+func (j *cjob) await() (peerURL, remoteID string, terminal bool, changed <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.peer, j.remoteID, j.terminal, j.changed.C()
+}
+
 // serveView is the view served over the coordinator's API: the cached
 // remote view with the job's cluster-wide ID in place of the peer-local
 // one. The trace ID is the coordinator's, which the peer shares (the
@@ -238,13 +242,6 @@ func (j *cjob) serveView() server.JobView {
 		v.TraceID = j.traceID.String()
 	}
 	return v
-}
-
-// isTerminal reports whether the job reached a terminal state.
-func (j *cjob) isTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.terminal
 }
 
 // ownedAt reports whether the runner generation epoch still owns the

@@ -29,7 +29,7 @@ func TestClaimBindAdoptHappyPath(t *testing.T) {
 	if !j.adopt(epoch, done) {
 		t.Fatal("adopt with the claiming epoch failed")
 	}
-	if !j.isTerminal() {
+	if _, _, _, _, terminal := j.placement(); !terminal {
 		t.Fatal("job not terminal after adopt")
 	}
 	if v := j.serveView(); v.ID != "c000001" || v.Status != server.StatusDone {

@@ -43,58 +43,54 @@ func writeEvent(w io.Writer, event string, v any) {
 }
 
 // handleEvents is GET /v1/jobs/{id}/events: a Server-Sent Events stream
-// of the job's life. Buffered telemetry epochs replay first, then epochs
-// arrive live as the simulator crosses boundaries ("epoch" events),
-// interleaved with periodic "progress" events; a final "done" event
-// carries the terminal status and the stream closes. Works for jobs
-// without telemetry too (progress + done only).
+// of the job's life. It reads the job's epoch log by cursor: the epochs
+// held so far replay first ("epoch" events), then each wake-up writes
+// the epochs published since, interleaved with periodic "progress"
+// events; once the job is terminal and the log is read to its end, a
+// final "done" event carries the terminal status and the stream closes.
+// Epochs that left the log before this stream read them count as
+// dropped frames. Works for jobs without telemetry too (progress + done
+// only).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	history, ch, cancel := j.subscribeEpochs()
-	defer cancel()
-	for i := range history {
-		writeEvent(w, "epoch", &history[i])
-	}
-	writeEvent(w, "progress", j.eventView())
-	fl.Flush()
-
 	ticker := time.NewTicker(defaultProgressInterval)
 	defer ticker.Stop()
+	cursor, tick := 0, true // the replay ends with a progress event
 	for {
-		select {
-		case e := <-ch:
-			writeEvent(w, "epoch", &e)
-			fl.Flush()
-		case <-ticker.C:
+		epochs, next, dropped, terminal, changed := j.epochsSince(cursor)
+		if dropped > 0 {
+			s.noteSSEDrops(dropped)
+		}
+		for i := range epochs {
+			writeEvent(w, "epoch", &epochs[i])
+		}
+		cursor = next
+		if tick {
 			writeEvent(w, "progress", j.eventView())
-			fl.Flush()
-		case <-j.Done():
-			// Flush any epochs that raced with termination, then close.
-			for {
-				select {
-				case e := <-ch:
-					writeEvent(w, "epoch", &e)
-					continue
-				default:
-				}
-				break
-			}
+			tick = false
+		}
+		if terminal {
 			writeEvent(w, "done", j.eventView())
 			fl.Flush()
 			return
+		}
+		fl.Flush()
+		select {
+		case <-changed:
+		case <-ticker.C:
+			tick = true
 		case <-r.Context().Done():
 			return
 		}
@@ -106,14 +102,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // format) with ?format=ndjson. While the job runs it serves the epochs
 // streamed so far; afterwards, the exact final series off the result.
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	ts, ok := j.timeseries()
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			errors.New("job records no telemetry (submit with \"telemetry\": <epoch instructions>)"))
 		return
 	}
@@ -122,8 +117,8 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		ts.WriteNDJSON(w)
 	case "", "json":
-		writeJSON(w, http.StatusOK, ts)
+		WriteJSON(w, http.StatusOK, ts)
 	default:
-		writeError(w, http.StatusBadRequest, errors.New("unknown format (want json or ndjson)"))
+		WriteError(w, http.StatusBadRequest, errors.New("unknown format (want json or ndjson)"))
 	}
 }

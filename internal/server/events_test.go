@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,15 +60,27 @@ func TestEventsStreamsEpochsAndDone(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
 
-	es, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	subscribe := func() *http.Response {
+		t.Helper()
+		es, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { es.Body.Close() })
+		return es
 	}
-	defer es.Body.Close()
+	es, alongside := subscribe(), subscribe()
 	if ct := es.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events content type %q", ct)
 	}
 	events := readSSE(t, es)
+	// A stream read alongside this one, and one opened after done, carry
+	// the same epoch frames.
+	for _, other := range []*http.Response{alongside, subscribe()} {
+		if a, b := epochFrames(events), epochFrames(readSSE(t, other)); !slices.Equal(a, b) {
+			t.Fatalf("streams disagree on epochs:\n%q\nvs\n%q", a, b)
+		}
+	}
 
 	var epochs []telemetry.Epoch
 	var progress, done int
@@ -103,6 +116,17 @@ func TestEventsStreamsEpochsAndDone(t *testing.T) {
 			t.Fatalf("epoch stamps not increasing: %d then %d", epochs[i-1].EndInstr, epochs[i].EndInstr)
 		}
 	}
+}
+
+// epochFrames returns the data of a stream's epoch frames.
+func epochFrames(events []sseEvent) []string {
+	var out []string
+	for _, e := range events {
+		if e.name == "epoch" {
+			out = append(out, string(e.data))
+		}
+	}
+	return out
 }
 
 func TestEventsForJobWithoutTelemetry(t *testing.T) {

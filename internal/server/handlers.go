@@ -1,9 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"morc/internal/exp"
@@ -40,7 +44,10 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as indented JSON with status code. It and the
+// other exported writers here are shared with the cluster coordinator,
+// which serves the same /v1/jobs API.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -48,36 +55,82 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, apiError{Error: err.Error()})
+// WriteError writes the JSON error envelope with status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, apiError{Error: err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// MaxFinishedJobs bounds the finished jobs a job table holds, morcd's
+// and the coordinator's alike: beyond it the job that finished first is
+// evicted. It matches the span store's trace bound.
+const MaxFinishedJobs = obs.DefaultMaxTraces
+
+// JobID is the n-th sequential job ID a service issues: prefix, then n
+// zero-padded to six digits.
+func JobID(prefix string, n uint64) string {
+	d := strconv.FormatUint(n, 10)
+	if len(d) < 6 {
+		d = "000000"[len(d):] + d
+	}
+	return prefix + d
+}
+
+// CompareJobIDs orders IDs made by JobID as they were issued: shorter
+// first (n past 999999 grows the ID), then lexically.
+func CompareJobIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
+}
+
+// WriteNoJob answers a request naming a job the table does not hold:
+// 410 when the service issued the ID (one of the first issued JobIDs
+// with prefix) and the job has since been evicted, 404 otherwise.
+func WriteNoJob(w http.ResponseWriter, id, prefix string, issued uint64) {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, prefix), 10, 64)
+	if err == nil && n >= 1 && n <= issued && JobID(prefix, n) == id {
+		WriteError(w, http.StatusGone, fmt.Errorf(
+			"job %s was evicted: only the latest %d finished jobs are kept", id, MaxFinishedJobs))
+		return
+	}
+	WriteError(w, http.StatusNotFound, errors.New("no such job"))
+}
+
+// ServeSubmit is POST /v1/jobs: it decodes the spec strictly, hands it
+// to submit with the caller's trace context, and answers 202 with the
+// job's view, or 429 (with Retry-After), 503 or 400 for submit's error.
+// A traceparent header links the job into the caller's trace: the
+// coordinator propagates its dispatch span, CLI clients additionally
+// mark tracestate so their submit span is synthesized server-side.
+func ServeSubmit(w http.ResponseWriter, r *http.Request, submit func(spec JobSpec, parent obs.SpanContext, synthesizeClient bool) (JobView, error)) {
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A traceparent header links the job into the caller's trace: the
-	// coordinator propagates its dispatch span, CLI clients additionally
-	// mark tracestate so their submit span is synthesized server-side.
 	parent, _ := obs.Extract(r.Header)
-	job, err := s.SubmitTraced(spec, parent, obs.ClientMarked(r.Header))
+	v, err := submit(spec, parent, obs.ClientMarked(r.Header))
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
+		WriteError(w, http.StatusBadRequest, err)
+	default:
+		WriteJSON(w, http.StatusAccepted, v)
 	}
-	writeJSON(w, http.StatusAccepted, job.View())
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	ServeSubmit(w, r, func(spec JobSpec, parent obs.SpanContext, synthesizeClient bool) (JobView, error) {
+		j, err := s.SubmitTraced(spec, parent, synthesizeClient)
+		if err != nil {
+			return JobView{}, err
+		}
+		return j.View(), nil
+	})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -86,36 +139,34 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		views = append(views, j.View())
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Jobs []JobView `json:"jobs"`
 	}{views})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Job(r.PathValue("id"))
+	j, ok := s.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
 	// Result payloads can be large (full telemetry series, experiment
 	// tables); encode time is part of the user-visible latency and gets
 	// its own histogram phase.
 	t0 := time.Now()
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 	s.metrics.spanObserved("encode", time.Since(t0))
 }
 
 // handleTrace serves GET /v1/jobs/{id}/trace: the job's span tree as
 // indented JSON, or NDJSON (one span per line) with ?format=ndjson.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.Job(id); !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
+	j, ok := s.find(w, r.PathValue("id"))
+	if !ok {
 		return
 	}
-	te, ok := s.Trace(id)
+	te, ok := s.Trace(j.ID)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no trace for job (evicted from the bounded store)"))
+		WriteError(w, http.StatusNotFound, errors.New("no trace for job (evicted from the bounded store)"))
 		return
 	}
 	if r.URL.Query().Get("format") == "ndjson" {
@@ -164,16 +215,16 @@ func (s *Server) Status() StatusView {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	WriteJSON(w, http.StatusOK, s.Status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.Cancel(r.PathValue("id"))
+	j, ok := s.find(w, r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	s.Cancel(j)
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 // Catalog enumerates everything the server can run; served by
@@ -192,7 +243,7 @@ func HandleSchemes(w http.ResponseWriter, r *http.Request) {
 	for _, sch := range sim.AllSchemes() {
 		names = append(names, sch.String())
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Schemes []string `json:"schemes"`
 	}{names})
 }
@@ -200,7 +251,7 @@ func HandleSchemes(w http.ResponseWriter, r *http.Request) {
 // HandleWorkloads serves GET /v1/workloads; see HandleSchemes for why
 // it is exported.
 func HandleWorkloads(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Catalog{
+	WriteJSON(w, http.StatusOK, Catalog{
 		Workloads:   trace.SingleProgramWorkloads(),
 		Mixes:       trace.MixNames(),
 		Experiments: exp.IDs(),

@@ -131,6 +131,15 @@ func (sp JobSpec) Validate() error {
 	return nil
 }
 
+// Label names the job's kind: its scheme, or "exp:" and the experiment
+// ID. It labels the job span and the wall-time histogram.
+func (sp JobSpec) Label() string {
+	if sp.Experiment != "" {
+		return "exp:" + sp.Experiment
+	}
+	return sp.Scheme.String()
+}
+
 // strictUnmarshal decodes JSON rejecting unknown fields, so typos in
 // config overrides fail at submit time instead of silently running the
 // default configuration.
@@ -177,15 +186,33 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 	return cfg, nil
 }
 
-// maxBufferedEpochs bounds the per-job live-epoch replay buffer; beyond
-// it the oldest epochs are dropped (late subscribers miss them, but the
-// exact full series still arrives on the finished job's Result).
+// maxBufferedEpochs bounds each job's epoch log: it keeps the latest
+// epochs, and an SSE subscriber further behind than this loses the
+// oldest (the exact full series still arrives on the finished job's
+// Result).
 const maxBufferedEpochs = 1024
 
-// subBuffer is each SSE subscriber's channel capacity. A subscriber that
-// falls further behind loses its oldest epochs rather than stalling the
-// simulation loop.
-const subBuffer = 64
+// Signal is a close-and-replace broadcast: C returns a channel that the
+// next Notify closes, so any number of waiters block on one change
+// without a channel per waiter. The zero value is ready to use; the
+// owner's lock guards it, and no channel is made until someone waits.
+type Signal struct{ ch chan struct{} }
+
+// C returns the channel the next Notify closes.
+func (s *Signal) C() <-chan struct{} {
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+// Notify wakes every waiter on the current channel.
+func (s *Signal) Notify() {
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
 
 // Job is one tracked unit of work. All mutable state is guarded by mu;
 // done is closed exactly once when the job reaches a terminal state.
@@ -204,28 +231,28 @@ type Job struct {
 	finished time.Time
 	cancel   context.CancelFunc
 
-	// Live telemetry: a bounded replay buffer plus per-subscriber
-	// channels, fed synchronously from the simulation loop.
+	// Live telemetry: a log of the latest epochs, fed synchronously from
+	// the simulation loop. epochs[0] is the base-th epoch published; SSE
+	// subscribers read the log by absolute cursor. changed fires on every
+	// publish and at the terminal transition.
 	epochs  []telemetry.Epoch
-	subs    map[int]chan telemetry.Epoch
-	nextSub int
+	base    int
+	changed Signal
 
 	// Tracing: the job's span tree, rooted at span. queueSp covers the
 	// time on the queue, runSp the simulation itself, phaseSp the
 	// currently open sim phase under runSp. All nil when tracing is off —
 	// every obs method is nil-safe, so no call site branches on it.
-	// onDrop reports SSE fan-out drops; it is invoked outside mu.
 	traceID obs.TraceID
 	span    *obs.ActiveSpan
 	queueSp *obs.ActiveSpan
 	runSp   *obs.ActiveSpan
 	phaseSp *obs.ActiveSpan
-	onDrop  func(n int)
 
 	done chan struct{}
 }
 
-func newJob(id string, spec JobSpec, span, queueSp *obs.ActiveSpan, onDrop func(int)) *Job {
+func newJob(id string, spec JobSpec, span, queueSp *obs.ActiveSpan) *Job {
 	return &Job{
 		ID:      id,
 		Spec:    spec,
@@ -234,7 +261,6 @@ func newJob(id string, spec JobSpec, span, queueSp *obs.ActiveSpan, onDrop func(
 		traceID: span.Context().TraceID,
 		span:    span,
 		queueSp: queueSp,
-		onDrop:  onDrop,
 		done:    make(chan struct{}),
 	}
 }
@@ -263,64 +289,35 @@ func (j *Job) setProgress(done, total uint64) {
 	j.mu.Unlock()
 }
 
-// publishEpoch buffers one completed telemetry epoch and fans it out to
-// subscribers. It is the System.OnEpoch hook, called synchronously from
-// the simulation loop at epoch boundaries, so everything here is
-// non-blocking: the replay buffer and every subscriber channel drop
-// their oldest entry instead of growing or stalling.
+// publishEpoch appends one completed telemetry epoch to the log and
+// wakes the job's SSE subscribers. It is the System.OnEpoch hook, called
+// synchronously from the simulation loop at epoch boundaries, so it
+// never blocks: a full log drops its oldest epoch instead of growing.
 func (j *Job) publishEpoch(e telemetry.Epoch) {
-	dropped := 0
-	j.mu.Lock()
-	if len(j.epochs) >= maxBufferedEpochs {
-		j.epochs = j.epochs[1:]
-	}
-	j.epochs = append(j.epochs, e)
-	for _, ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-			// Full: evict the subscriber's oldest epoch. We hold mu, and
-			// publishEpoch is the only sender, so the retry cannot race.
-			select {
-			case <-ch:
-				dropped++
-			default:
-			}
-			select {
-			case ch <- e:
-			default:
-				dropped++
-			}
-		}
-	}
-	onDrop := j.onDrop
-	j.mu.Unlock()
-	// Report evictions outside mu: the callback takes the metrics lock
-	// and may log.
-	if dropped > 0 && onDrop != nil {
-		onDrop(dropped)
-	}
-}
-
-// subscribeEpochs registers a live-epoch subscriber: it returns a
-// snapshot of the epochs buffered so far (for replay), a channel carrying
-// subsequent ones, and a cancel func that must be called to unregister.
-func (j *Job) subscribeEpochs() (history []telemetry.Epoch, ch <-chan telemetry.Epoch, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history = append([]telemetry.Epoch(nil), j.epochs...)
-	c := make(chan telemetry.Epoch, subBuffer)
-	if j.subs == nil {
-		j.subs = map[int]chan telemetry.Epoch{}
+	if len(j.epochs) == maxBufferedEpochs {
+		j.epochs = j.epochs[1:]
+		j.base++
 	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = c
-	return history, c, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
+	j.epochs = append(j.epochs, e)
+	j.changed.Notify()
+}
+
+// epochsSince reads the epoch log from absolute index cursor. It
+// returns the epochs held past cursor, the cursor after them, how many
+// epochs past cursor have already left the log, whether the job is
+// terminal (no epoch follows), and a channel closed at the job's next
+// change. The slice aliases the log, which is safe to read after the
+// lock is released: publishEpoch only ever appends past the end of
+// every slice it has handed out.
+func (j *Job) epochsSince(cursor int) (epochs []telemetry.Epoch, next, dropped int, terminal bool, changed <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if cursor < j.base {
+		dropped, cursor = j.base-cursor, j.base
 	}
+	return j.epochs[cursor-j.base:], j.base + len(j.epochs), dropped, j.status.Terminal(), j.changed.C()
 }
 
 // timeseries returns the job's telemetry series: the exact (possibly
@@ -338,11 +335,11 @@ func (j *Job) timeseries() (ts *telemetry.Series, ok bool) {
 	if !enabled {
 		return nil, false
 	}
+	// The log aliases safely past the unlock; see epochsSince.
 	return &telemetry.Series{
 		Scheme: j.Spec.Scheme.String(),
 		Every:  cfg.Telemetry.Every,
-		//morclint:ignore hotalloc snapshot under j.mu; the live epoch slice keeps growing after the response is encoded
-		Epochs: append([]telemetry.Epoch(nil), j.epochs...),
+		Epochs: j.epochs,
 	}, true
 }
 
@@ -381,10 +378,12 @@ func (j *Job) notePhase(ev sim.PhaseEvent) {
 	j.phaseSp = sp
 }
 
-// endSpansLocked closes every open span for a job reaching the terminal
-// state st. Caller holds j.mu. Returns the run span's duration (0 for
-// jobs that never started).
-func (j *Job) endSpansLocked(st Status, res *sim.Result) time.Duration {
+// endLocked moves the job to the terminal state st: it closes every
+// open span, closes done and wakes the SSE subscribers. Caller holds
+// j.mu. Returns the run span's duration (0 for jobs that never started).
+func (j *Job) endLocked(st Status, res *sim.Result) time.Duration {
+	j.status = st
+	j.finished = time.Now()
 	j.phaseSp.End()
 	j.phaseSp = nil
 	if res != nil && res.Sampling != nil {
@@ -396,6 +395,8 @@ func (j *Job) endSpansLocked(st Status, res *sim.Result) time.Duration {
 	j.queueSp = nil
 	j.span.SetAttr("status", string(st))
 	j.span.End()
+	close(j.done)
+	j.changed.Notify()
 	return runDur
 }
 
@@ -407,17 +408,13 @@ func (j *Job) finish(st Status, res *sim.Result, tables []*exp.Table, errMsg str
 	if j.status.Terminal() {
 		return 0
 	}
-	j.status = st
 	j.result = res
 	j.tables = tables
 	j.errMsg = errMsg
-	j.finished = time.Now()
 	if st == StatusDone {
 		j.progress = 1
 	}
-	runDur := j.endSpansLocked(st, res)
-	close(j.done)
-	return runDur
+	return j.endLocked(st, res)
 }
 
 // requestCancel asks the job to stop. A queued job is cancelled
@@ -433,10 +430,7 @@ func (j *Job) requestCancel() (fromQueue, ok bool) {
 		return false, false
 	}
 	if j.status == StatusQueued {
-		j.status = StatusCancelled
-		j.finished = time.Now()
-		j.endSpansLocked(StatusCancelled, nil)
-		close(j.done)
+		j.endLocked(StatusCancelled, nil)
 		j.mu.Unlock()
 		return true, true
 	}

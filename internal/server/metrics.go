@@ -72,7 +72,7 @@ type metrics struct {
 	workersBusy int
 	byScheme    map[string]*histogram // job wall time by scheme label
 	bySpan      map[string]*histogram // span duration by phase label
-	sseDropped  uint64                // SSE fan-out frames dropped on slow subscribers
+	sseDropped  uint64                // epochs an SSE stream missed: they left the job's log first
 	sampledJobs uint64                // jobs that ran with interval sampling
 	windows     *histogram            // sampling windows replayed per sampled job
 	speedup     *histogram            // instruction-reduction factor per sampled job
@@ -140,8 +140,8 @@ func (m *metrics) spanObserved(phase string, d time.Duration) {
 	}
 }
 
-// sseDroppedFrames counts telemetry frames evicted from slow SSE
-// subscriber buffers.
+// sseDroppedFrames counts telemetry epochs that left a job's epoch log
+// before an SSE stream read them.
 func (m *metrics) sseDroppedFrames(n int) {
 	m.mu.Lock()
 	m.sseDropped += uint64(n)
@@ -277,7 +277,7 @@ func (m *metrics) write(dst io.Writer, queueDepth, queueCap, workers int) {
 		writeHistogram(w, "morcd_span_duration_seconds", "phase", p, m.bySpan[p])
 	}
 
-	fmt.Fprintln(w, "# HELP morcd_sse_dropped_frames_total Telemetry frames dropped from slow SSE subscriber buffers.")
+	fmt.Fprintln(w, "# HELP morcd_sse_dropped_frames_total Telemetry epochs that left a job's epoch log before an SSE stream read them.")
 	fmt.Fprintln(w, "# TYPE morcd_sse_dropped_frames_total counter")
 	fmt.Fprintf(w, "morcd_sse_dropped_frames_total %d\n", m.sseDropped)
 

@@ -7,8 +7,8 @@
 // API:
 //
 //	POST   /v1/jobs                  submit a JobSpec  → 202 JobView (429 when the queue is full)
-//	GET    /v1/jobs                  list all jobs     → {"jobs": [JobView...]}
-//	GET    /v1/jobs/{id}             job status/result → JobView
+//	GET    /v1/jobs                  list held jobs    → {"jobs": [JobView...]}
+//	GET    /v1/jobs/{id}             job status/result → JobView (410 once evicted)
 //	DELETE /v1/jobs/{id}             cancel            → JobView
 //	GET    /v1/jobs/{id}/events      SSE stream: epoch/progress/done events
 //	GET    /v1/jobs/{id}/timeseries  telemetry series (JSON, ?format=ndjson)
@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,11 +79,14 @@ type Server struct {
 	dropMu   sync.Mutex
 	lastDrop time.Time
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // insertion order for listing
-	nextID uint64
-	closed bool
+	// The job table holds every queued and running job and the latest
+	// MaxFinishedJobs finished ones; finished lists those, oldest first.
+	// IDs are sequential, so issued tells an evicted ID from a foreign one.
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string
+	issued   uint64
+	closed   bool
 }
 
 // sseDropWarnEvery is the minimum gap between SSE-drop warning logs.
@@ -139,7 +144,7 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext, synthesizeCl
 		s.tracer.SynthesizeRoot(parent, "client", "client.submit")
 	}
 	span := s.tracer.StartSpan(parent, "job")
-	span.SetAttr("kind", schemeLabel(spec))
+	span.SetAttr("kind", spec.Label())
 	queueSp := span.StartSpan("queue")
 
 	s.mu.Lock()
@@ -150,8 +155,7 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext, synthesizeCl
 		span.End()
 		return nil, ErrShuttingDown
 	}
-	s.nextID++
-	job := newJob(fmt.Sprintf("j%06d", s.nextID), spec, span, queueSp, s.noteSSEDrops)
+	job := newJob(JobID("j", s.issued+1), spec, span, queueSp)
 	select {
 	case s.queue <- job:
 	default:
@@ -162,18 +166,18 @@ func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext, synthesizeCl
 		span.End()
 		return nil, ErrQueueFull
 	}
+	s.issued++
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.mu.Unlock()
 	s.metrics.jobSubmitted()
-	s.log.Info("job queued", "job", job.ID, "kind", schemeLabel(spec),
+	s.log.Info("job queued", "job", job.ID, "kind", spec.Label(),
 		"workload", spec.Workload, "mix", spec.Mix, "telemetry", spec.Telemetry,
 		"trace", job.TraceID().String())
 	return job, nil
 }
 
-// Trace exports the job's span tree. ok is false for unknown jobs and
-// for traces already evicted from the bounded store.
+// Trace exports the job's span tree. ok is false for jobs the table
+// does not hold and for traces already evicted from the bounded store.
 func (s *Server) Trace(id string) (obs.TraceExport, bool) {
 	j, ok := s.Job(id)
 	if !ok || j.TraceID().IsZero() {
@@ -182,8 +186,8 @@ func (s *Server) Trace(id string) (obs.TraceExport, bool) {
 	return s.spans.Export(j.TraceID())
 }
 
-// noteSSEDrops is each job's onDrop callback: it counts evicted SSE
-// frames and emits a rate-limited warning log.
+// noteSSEDrops counts epochs that left a job's log before an SSE
+// subscriber read them, and emits a rate-limited warning log.
 func (s *Server) noteSSEDrops(n int) {
 	s.metrics.sseDroppedFrames(n)
 	s.dropMu.Lock()
@@ -207,29 +211,51 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns all jobs in submission order.
+// find is Job for a request handler: when the table does not hold id
+// it answers 404, or 410 for an evicted job, itself.
+func (s *Server) find(w http.ResponseWriter, id string) (*Job, bool) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	issued := s.issued
+	s.mu.Unlock()
+	if !ok {
+		WriteNoJob(w, id, "j", issued)
+	}
+	return j, ok
+}
+
+// Jobs returns the jobs the table holds, in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return CompareJobIDs(a.ID, b.ID) })
 	return out
 }
 
-// Cancel requests cancellation of a job. The bool reports whether the
-// job existed; already-terminal jobs are left untouched.
-func (s *Server) Cancel(id string) (*Job, bool) {
-	j, ok := s.Job(id)
-	if !ok {
-		return nil, false
+// retire records a finished job, evicting the oldest finished one once
+// the table holds more than MaxFinishedJobs.
+func (s *Server) retire(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, id)
+	if len(s.finished) > MaxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
+}
+
+// Cancel requests cancellation of a job; already-terminal jobs are left
+// untouched.
+func (s *Server) Cancel(j *Job) {
 	if fromQueue, _ := j.requestCancel(); fromQueue {
 		// Cancelled straight from the queue: no worker will report it.
 		s.metrics.jobFinished(StatusCancelled, "", -1)
+		s.retire(j.ID)
 	}
-	return j, true
 }
 
 // QueueDepth is the number of jobs waiting for a worker.
@@ -257,7 +283,7 @@ func (s *Server) runJob(j *Job) {
 	s.metrics.spanObserved("queue", queueWait)
 	s.metrics.workerBusy(1)
 	defer s.metrics.workerBusy(-1)
-	s.log.Info("job started", "job", j.ID, "kind", schemeLabel(j.Spec))
+	s.log.Info("job started", "job", j.ID, "kind", j.Spec.Label())
 
 	st, res, tables, errMsg := s.execute(ctx, j)
 	runDur := j.finish(st, res, tables, errMsg)
@@ -266,17 +292,10 @@ func (s *Server) runJob(j *Job) {
 		s.metrics.sampledJob(len(res.Sampling.Windows), res.Sampling.SpeedupX)
 	}
 	v := j.View()
-	s.metrics.jobFinished(st, schemeLabel(j.Spec), v.DurationSec)
+	s.metrics.jobFinished(st, j.Spec.Label(), v.DurationSec)
+	s.retire(j.ID)
 	s.log.Info("job finished", "job", j.ID, "status", string(st),
 		"duration_sec", v.DurationSec, "error", errMsg)
-}
-
-// schemeLabel is the metrics label for a job's wall-time histogram.
-func schemeLabel(sp JobSpec) string {
-	if sp.Experiment != "" {
-		return "exp:" + sp.Experiment
-	}
-	return sp.Scheme.String()
 }
 
 // execute runs the spec under ctx and maps the outcome to a terminal

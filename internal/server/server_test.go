@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -439,4 +441,69 @@ func TestProgressAdvances(t *testing.T) {
 	}
 	cancelJob(t, ts, v.ID)
 	pollUntil(t, ts, v.ID, 30*time.Second, func(v JobView) bool { return v.Status.Terminal() })
+}
+
+// TestJobTableBounded finishes three times MaxFinishedJobs jobs: the
+// table then holds only the latest MaxFinishedJobs, an early ID answers
+// 410 while a never-issued one stays 404, and the post-GC heap does not
+// grow with the jobs beyond the bound.
+func TestJobTableBounded(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	spec := JobSpec{Workload: "gcc", Scheme: sim.MORC,
+		Config: json.RawMessage(`{"WarmupInstr": 1000, "MeasureInstr": 2000}`)}
+	run := func(n int) {
+		for ; n > 0; n -= 32 {
+			jobs := make([]*Job, 32)
+			for i := range jobs {
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs[i] = j
+			}
+			for _, j := range jobs {
+				<-j.Done()
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	empty := heap()
+	run(MaxFinishedJobs)
+	full := heap()
+	run(2 * MaxFinishedJobs)
+	after := heap()
+	t.Logf("post-GC heap: %d bytes empty, %d at the bound, %d at three times it", empty, full, after)
+	if n := len(s.Jobs()); n != MaxFinishedJobs {
+		t.Fatalf("table holds %d jobs, want %d", n, MaxFinishedJobs)
+	}
+	// Unbounded, the last 2×MaxFinishedJobs jobs would add twice what
+	// the first MaxFinishedJobs did; allow a quarter of that as noise.
+	if after > full && after-full > (full-empty)/2 {
+		t.Fatalf("post-GC heap grew from %d to %d bytes past the bound (%d before any job)", full, after, empty)
+	}
+
+	h := s.Handler()
+	for id, want := range map[string]int{
+		"j000001":                       http.StatusGone,
+		JobID("j", 3*MaxFinishedJobs):   http.StatusOK,
+		JobID("j", 3*MaxFinishedJobs+1): http.StatusNotFound,
+		"j1":                            http.StatusNotFound,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+		if rec.Code != want {
+			t.Errorf("GET %s: HTTP %d, want %d (%s)", id, rec.Code, want, rec.Body)
+		}
+		if want == http.StatusGone && !strings.Contains(rec.Body.String(), fmt.Sprint(MaxFinishedJobs)) {
+			t.Errorf("410 body %s does not name the bound", rec.Body)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -201,21 +202,45 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestPublishEpochCountsDrops drives the SSE fan-out directly: a
-// subscriber that never reads loses oldest frames, and every eviction is
-// reported through onDrop (the hook the server wires to its Prometheus
-// counter and rate-limited warn log).
+// TestPublishEpochCountsDrops drives the epoch log directly: a
+// subscriber that attaches after done and is at most maxBufferedEpochs
+// epochs behind replays every epoch, while one N epochs further behind
+// gets the latest maxBufferedEpochs and raises the drop counter by N.
 func TestPublishEpochCountsDrops(t *testing.T) {
-	var dropped int
-	j := newJob("t1", JobSpec{}, nil, nil, func(n int) { dropped += n })
-	_, _, cancel := j.subscribeEpochs()
-	defer cancel()
-	total := subBuffer + 10
-	for i := 0; i < total; i++ {
-		j.publishEpoch(telemetry.Epoch{})
-	}
-	if dropped != 10 {
-		t.Fatalf("dropped = %d, want 10", dropped)
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, over := range []int{0, 10} {
+		j := newJob(fmt.Sprintf("t%d", over), JobSpec{}, nil, nil)
+		total := maxBufferedEpochs + over
+		for i := 1; i <= total; i++ {
+			j.publishEpoch(telemetry.Epoch{EndInstr: uint64(i)})
+		}
+		j.finish(StatusDone, nil, nil, "")
+		s.mu.Lock()
+		s.jobs[j.ID] = j
+		s.mu.Unlock()
+
+		before := s.metrics.snapshot().SSEDropped
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for _, e := range readSSE(t, resp) {
+			if e.name == "epoch" {
+				var ep telemetry.Epoch
+				if err := json.Unmarshal(e.data, &ep); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, ep.EndInstr)
+			}
+		}
+		resp.Body.Close()
+		if len(got) != maxBufferedEpochs || got[0] != uint64(over+1) || got[len(got)-1] != uint64(total) {
+			t.Fatalf("%d over the log: replayed %d epochs, want EndInstr %d..%d", over, len(got), over+1, total)
+		}
+		if d := s.metrics.snapshot().SSEDropped - before; d != uint64(over) {
+			t.Fatalf("%d over the log: dropped = %d, want %d", over, d, over)
+		}
 	}
 }
 

@@ -82,7 +82,6 @@ type Config struct {
 	// use); MemBankBusy is the row-cycle time tRC in core cycles.
 	MemBanks    int
 	MemBankBusy uint64
-	Threads     int  // CGMT threads per core for the throughput model
 	Inclusive   bool // insert fetched lines on store misses too (§5.4.2)
 	// LinkCompression compresses lines on the memory channel with C-Pack
 	// (§6's "memory link compression", which the paper calls
@@ -126,7 +125,6 @@ func DefaultConfig() Config {
 		Scheme:          Uncompressed,
 		BWPerCore:       100e6,
 		MemLatency:      80,
-		Threads:         4,
 		ClockHz:         2e9,
 		WarmupInstr:     500_000,
 		MeasureInstr:    1_000_000,

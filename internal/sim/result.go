@@ -9,6 +9,10 @@ import (
 	"morc/internal/telemetry"
 )
 
+// cgmtThreads is the CGMT threads per core the throughput model (§4)
+// assumes.
+const cgmtThreads = 4
+
 // CoreResult summarizes one core's measurement window.
 type CoreResult struct {
 	Instructions uint64
@@ -237,7 +241,7 @@ func (s *System) derive(wins []winDelta, coef []float64, f float64) Result {
 		// for buckets entirely above or below the hideable latency,
 		// mean-approximated only for the single straddling bucket, and
 		// truncated to whole cycles per bucket.
-		hidden := float64(s.cfg.Threads-1) * cr.AvgGap
+		hidden := float64(cgmtThreads-1) * cr.AvgGap
 		var residual float64
 		for b, cnt := range h.Counts {
 			if cnt == 0 {
